@@ -6,19 +6,18 @@ Run from the root of a source checkout:
     python3 bench/run.py --workload wide-vocab --seed 1 --seconds 25 --trace 0
     python3 bench/run.py --workload all          # every workload, one process each
 
-One run builds its inputs from ``--seed`` (set-up is timed three times and
-the median kept), then repeats a pass over the package calls until
-``--seconds`` have elapsed, checking every output.  The last line of
-standard output is one JSON object with ``correct``, ``attempted``,
-``failed`` and ``metrics``: the end-to-end metrics with ``--trace 0``, the
-per-layer metrics with ``--trace 1``.  Traced runs also write their spans to
+One run times set-up three times and keeps the median: importing the package
+in a fresh interpreter, and building the inputs from ``--seed``.  It then
+repeats a pass over the package calls while another pass fits in
+``--seconds``, checking every output.  The last line of standard output is
+one JSON object with ``correct``, ``attempted``, ``failed`` and ``metrics``:
+the end-to-end metrics with ``--trace 0``, the per-layer metrics with
+``--trace 1``.  The line before it is an ungated context record (versions,
+BLAS threads, passes made, pass times).  Traced runs also write their spans to
 ``.bench_out/`` in the checkout.  Workloads and metrics are described in
 ``bench/workloads.py`` and ``BENCHMARK.json``.
 """
 import os
-import time
-
-_T0 = time.perf_counter()
 
 
 def _pin_blas_threads() -> None:
@@ -36,6 +35,7 @@ _pin_blas_threads()
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -54,6 +54,16 @@ def _context() -> dict:
             "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
             "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
             "stage_peak_mb": "tracemalloc-tracked allocations; LAPACK workspace excluded"}
+
+
+def _import_s(times: int) -> float:
+    """Median time to import the package, each time in a fresh interpreter."""
+    code = ("import sys, time; sys.path.insert(0, sys.argv[1]); t = time.perf_counter(); "
+            "import nidtopics; print(time.perf_counter() - t)")
+    samples = [float(subprocess.run([sys.executable, "-c", code, str(SRC)], check=True,
+                                    capture_output=True, text=True).stdout)
+               for _ in range(times)]
+    return statistics.median(samples)
 
 
 def _run_all(args) -> int:
@@ -102,7 +112,7 @@ def main(argv=None) -> int:
     if args.workload == "all":
         return _run_all(args)
 
-    from workloads import WORKLOADS, run
+    from workloads import SETUPS, WORKLOADS, run
     import nidtopics
 
     if Path(nidtopics.__file__).resolve().parent != (SRC / "nidtopics").resolve():
@@ -112,11 +122,10 @@ def main(argv=None) -> int:
         print(f"unknown workload {args.workload!r}; choose from {sorted(WORKLOADS)} or 'all'",
               file=sys.stderr)
         return 2
-    import_s = time.perf_counter() - _T0
 
-    result = run(WORKLOADS[args.workload], args.seed, args.seconds, bool(args.trace),
-                 import_s=import_s, out_dir=ROOT / ".bench_out")
-    print(json.dumps({"context": _context()}))
+    result, context = run(WORKLOADS[args.workload], args.seed, args.seconds, bool(args.trace),
+                          import_s=_import_s(SETUPS), out_dir=ROOT / ".bench_out")
+    print(json.dumps({"context": {**_context(), **context}}))
     print(json.dumps(result))
     return 0
 

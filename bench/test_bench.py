@@ -18,7 +18,7 @@ import inputs  # noqa: E402
 from nidtopics import invgauss_family, sample  # noqa: E402
 from nidtopics.nid import NIDModel  # noqa: E402
 from tracer import Span, Target, Tracer, self_times, summarize  # noqa: E402
-from workloads import END_TO_END, FAILED, PER_LAYER, ROUNDS, TINY, Runner, run  # noqa: E402
+from workloads import END_TO_END, FAILED, PER_LAYER, TINY, Runner, run  # noqa: E402
 
 
 def _corpus(seed):
@@ -89,15 +89,17 @@ def test_a_call_that_raises_is_a_failed_operation_not_a_wrong_output(tmp_path):
 @pytest.mark.parametrize("name", sorted(TINY))
 @pytest.mark.parametrize("trace", [False, True])
 def test_every_metric_is_emitted_with_its_unit(name, trace, tmp_path):
-    result = run(TINY[name], seed=5, seconds=0.0, trace=trace, import_s=0.0,
-                 out_dir=tmp_path)
+    result, context = run(TINY[name], seed=5, seconds=0.0, trace=trace, import_s=0.0,
+                          out_dir=tmp_path)
+    assert (context["passes"], context["traced_passes"]) == ((1, 1) if trace else (1, 0))
     assert result["correct"], result
     assert result["failed"] == 0 and result["attempted"] > 0
     units = PER_LAYER if trace else END_TO_END
     assert {k: v["unit"] for k, v in result["metrics"].items()} == units
     assert all(isinstance(v["value"], (int, float)) for v in result["metrics"].values())
     if trace:
-        assert result["metrics"]["nid.sample_calls"]["value"] == TINY[name].gen_docs * ROUNDS
+        w = TINY[name]
+        assert result["metrics"]["nid.sample_calls"]["value"] == w.gen_docs * w.rounds
         assert (tmp_path / f"trace-{name}-5.jsonl").is_file()
     json.dumps(result)
 

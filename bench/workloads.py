@@ -12,8 +12,13 @@ different layer:
 * many-topics: d=500, k=50.  The O(nnz k^2) triple contraction and the k^3
   power iterations are most of ``learn``; ``whiten`` is tiny.
 * data-path: d=2000, k=20.  ``generate`` of 5 x 2000 documents (one
-  ``nid.sample`` call each), the UCI round trip, scoring and 30 chains with
+  ``nid.sample`` call each), the UCI round trip, scoring and 20 chains with
   thousands of quadrature calls dominate; ``learn`` is small.
+
+A pass (one ``learn``, then the workload's rounds of the other calls) takes
+about 25 seconds on a 2-core machine, so a 25-second run makes one pass:
+``learn_s`` and ``recovery_l1`` are one sample, the other times are medians
+over the rounds.
 
 ``learn``, ``perplexity``, ``pmi`` and ``run_chain`` see corpora from the
 benchmark's own generator (``inputs``), so a change to ``generate``'s random
@@ -57,43 +62,50 @@ class Workload:
     learn_docs: int      # its leading documents, given to learn
     score_docs: int      # its leading documents, scored by perplexity and pmi
     gen_docs: int        # documents made by nidtopics.generate, then written and read
+    rounds: int          # rounds of the data-path calls after learn
     chains: int          # documents per round, each given one run_chain
     chain_steps: int
     burn_in: int
 
 
 # Shared by every workload.
-ROUNDS = 5           # rounds of the data-path calls after learn
+SETUPS = 3           # set-ups per run; setup_s is their median
 FAMILY = "invgauss:4"
 ALPHA0 = 1.0
 DOC_LEN = 100
 H_SAMPLES = 512      # prior draws per perplexity estimate
 TOP_M = 10           # top words per topic for pmi
+# run_chain's default concentration (50) accepts under 2% of its moves at
+# k=20 and k=50, so most short chains never leave their uniform start; 200
+# accepts 10-30% at k=10 and k=20, where the chains then reach most of the
+# way from the start to the true h within the steps below.  At k=50 the
+# chains still barely move, so there infer_h_l1 mostly measures the inputs.
+PROPOSAL_CONCENTRATION = 200.0
 
 
-# Every workload runs the data-path calls in ROUNDS interleaved rounds, so
-# each call gets a median spanning the pass; each round generates with its
-# own seed and gives run_chain its own documents.  Inference uses many short
+# Every workload runs the data-path calls in interleaved rounds, so each
+# call gets a median spanning the pass; each round generates with its own
+# seed and gives run_chain its own documents.  Inference uses many short
 # chains rather than a few long ones: the posterior error and the chain cost
 # vary from document to document, and more documents keep them steady from
 # seed to seed.
 WORKLOADS: Dict[str, Workload] = {w.name: w for w in (
     Workload("wide-vocab", d=5000, k=10, docs=20000, learn_docs=20000, score_docs=6000,
-             gen_docs=1200, chains=12, chain_steps=50, burn_in=10),
+             gen_docs=800, rounds=3, chains=12, chain_steps=50, burn_in=10),
     Workload("many-topics", d=500, k=50, docs=6000, learn_docs=6000, score_docs=4000,
-             gen_docs=2000, chains=6, chain_steps=50, burn_in=10),
+             gen_docs=2000, rounds=3, chains=6, chain_steps=50, burn_in=10),
     Workload("data-path", d=2000, k=20, docs=10000, learn_docs=5000, score_docs=6000,
-             gen_docs=2000, chains=6, chain_steps=125, burn_in=25),
+             gen_docs=2000, rounds=5, chains=4, chain_steps=250, burn_in=50),
 )}
 
 # Tiny shapes for the warm-up pass and the self-test.
 TINY: Dict[str, Workload] = {w.name: w for w in (
     Workload("wide-vocab", d=300, k=3, docs=400, learn_docs=400, score_docs=400, gen_docs=20,
-             chains=2, chain_steps=30, burn_in=10),
+             rounds=2, chains=2, chain_steps=30, burn_in=10),
     Workload("many-topics", d=60, k=6, docs=400, learn_docs=400, score_docs=400, gen_docs=20,
-             chains=2, chain_steps=30, burn_in=10),
+             rounds=2, chains=2, chain_steps=30, burn_in=10),
     Workload("data-path", d=100, k=4, docs=400, learn_docs=100, score_docs=400, gen_docs=20,
-             chains=2, chain_steps=30, burn_in=10),
+             rounds=2, chains=2, chain_steps=30, burn_in=10),
 )}
 
 END_TO_END = {
@@ -115,7 +127,7 @@ PER_LAYER = {
     "nid.density_calls": "count", "nid.density_s": "s",
     "synth.generate_self_s": "s",
     "mcmc.self_s": "s", "mcmc.acceptance_rate": "ratio", "mcmc.proposals": "count",
-    "mcmc.warnings": "count",
+    "mcmc.unmoved_share": "ratio", "mcmc.warnings": "count",
     "io.write_uci_s": "s", "io.read_uci_s": "s", "io.bytes": "bytes",
     "trace.learn_s": "s", "trace.infer_s": "s",
     "trace.overhead_learn_s": "s", "trace.overhead_infer_s": "s",
@@ -229,14 +241,15 @@ class Runner:
             samples.setdefault(key, []).append(dt)
         return result
 
-    # -- one pass: learn once, then ROUNDS rounds of the data-path calls -----
+    # -- one pass: learn once, then the rounds of the data-path calls --------
 
     def one_pass(self, inp: Inputs, tracer: Optional[Tracer]) -> Dict[str, float]:
         """Median times by metric name, plus accuracy figures and counts."""
         w = self.w
         span = tracer.span if tracer is not None else _no_span
         samples: Dict[str, List[float]] = {}
-        out: Dict[str, float] = {"mcmc_accepted": 0.0, "mcmc_proposals": 0.0}
+        out: Dict[str, float] = {"mcmc_accepted": 0.0, "mcmc_proposals": 0.0,
+                                 "mcmc_chains": 0.0, "mcmc_unmoved": 0.0}
         dists: List[float] = []
 
         if tracer is not None:
@@ -249,7 +262,7 @@ class Runner:
             self.check_model(model, inp, out)
         # the data-path calls are interleaved rather than repeated back to
         # back, so their medians span the whole pass
-        for r in range(ROUNDS):
+        for r in range(w.rounds):
             self.data_calls(r, inp, span, samples, out, dists)
         out.update({key: statistics.median(vals) for key, vals in samples.items()})
         if dists:
@@ -311,7 +324,9 @@ class Runner:
         for j in range(r * w.chains, (r + 1) * w.chains):
             with span("mcmc.run_chain"):
                 res, dt = self.call("run_chain", run_chain, inp.corpus.doc_words(j), inp.truth,
-                                    w.chain_steps, w.burn_in, seed=self.seed + j)
+                                    w.chain_steps, w.burn_in,
+                                    proposal_concentration=PROPOSAL_CONCENTRATION,
+                                    seed=self.seed + j)
             infer_s += dt
             if res is FAILED:
                 continue
@@ -321,6 +336,8 @@ class Runner:
             dists.append(float(np.abs(hbar - inp.h[j]).sum()))
             out["mcmc_accepted"] += res.acceptance_rate * w.chain_steps
             out["mcmc_proposals"] += w.chain_steps
+            out["mcmc_chains"] += 1
+            out["mcmc_unmoved"] += res.acceptance_rate == 0.0
         samples.setdefault("infer_s", []).append(infer_s)
 
 
@@ -338,30 +355,32 @@ def _median(passes: List[Dict[str, float]], key: str) -> Optional[float]:
 
 
 def run(w: Workload, seed: int, seconds: float, trace: bool, import_s: float,
-        out_dir: Path, setups: int = 3) -> dict:
-    """Set up ``setups`` times, then run passes until ``seconds`` have elapsed.
+        out_dir: Path):
+    """Set up SETUPS times, then run passes while another one fits in ``seconds``.
 
-    Untraced: every pass is measured.  Traced: passes alternate untraced and
-    traced, at least one of each; per-layer figures come from the traced
-    passes and the overhead is traced minus untraced.
+    A run stops once a further pass, as long as the last one, would end past
+    ``seconds``; it always makes at least one.  Untraced: every pass is
+    measured.  Traced: passes alternate untraced and traced, at least one of
+    each; per-layer figures come from the traced passes and the overhead is
+    traced minus untraced.  Returns the result and an ungated context record.
     """
     handler = CountingHandler()
     pkg_log = logging.getLogger("nidtopics")
     pkg_log.addHandler(handler)
     propagate, pkg_log.propagate = pkg_log.propagate, False
     try:
-        return _measure(w, seed, seconds, trace, import_s, out_dir, setups, handler)
+        return _measure(w, seed, seconds, trace, import_s, out_dir, handler)
     finally:
         pkg_log.removeHandler(handler)
         pkg_log.propagate = propagate
 
 
 def _measure(w: Workload, seed: int, seconds: float, trace: bool, import_s: float,
-             out_dir: Path, setups: int, handler: CountingHandler) -> dict:
+             out_dir: Path, handler: CountingHandler):
     out_dir.mkdir(parents=True, exist_ok=True)
     runner = Runner(w, seed, out_dir)
     setup_times, inp = [], None
-    for _ in range(setups):
+    for _ in range(SETUPS):
         t0 = time.perf_counter()
         fresh = make_inputs(w, seed)
         setup_times.append(time.perf_counter() - t0)
@@ -384,22 +403,26 @@ def _measure(w: Workload, seed: int, seconds: float, trace: bool, import_s: floa
 
     plain: List[Dict[str, float]] = []
     traced: List[Dict[str, float]] = []
+    pass_s: List[float] = []
     tracer = Tracer()
     start = time.perf_counter()
     while True:
         use_trace = trace and len(plain) > len(traced)
+        t0 = time.perf_counter()
         if use_trace:
             with tracer.installed(TARGETS):
                 traced.append(runner.one_pass(inp, tracer))
         else:
             plain.append(runner.one_pass(inp, None))
-        done = time.perf_counter() - start >= seconds
-        if done and (not trace or traced):
+        now = time.perf_counter()
+        pass_s.append(now - t0)
+        if now - start + pass_s[-1] > seconds and (not trace or traced):
             break
 
+    inputs_s = statistics.median(setup_times)
     if not trace:
         metrics = {name: _median(plain, name) for name in END_TO_END}
-        metrics["setup_s"] = import_s + statistics.median(setup_times)
+        metrics["setup_s"] = import_s + inputs_s
         metrics["peak_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         units = END_TO_END
     else:
@@ -413,12 +436,16 @@ def _measure(w: Workload, seed: int, seconds: float, trace: bool, import_s: floa
         print(f"warnings logged per layer: {handler.counts}", file=sys.stderr)
     if tracer.absent:
         print(f"absent trace targets: {tracer.absent}", file=sys.stderr)
-    return {
+    result = {
         "correct": runner.wrong_outputs == 0 and all(v is not None for v in metrics.values()),
         "attempted": runner.attempted,
         "failed": runner.failed,
         "metrics": {k: {"value": metrics[k], "unit": units[k]} for k in units},
     }
+    context = {"passes": len(plain), "traced_passes": len(traced),
+               "pass_s": [round(t, 3) for t in pass_s],
+               "import_s": round(import_s, 4), "inputs_s": round(inputs_s, 4)}
+    return result, context
 
 
 def layer_metrics(tracer: Tracer, traced: List[dict], plain: List[dict],
@@ -447,6 +474,7 @@ def layer_metrics(tracer: Tracer, traced: List[dict], plain: List[dict],
         return None if on is None or off is None else on - off
 
     proposals = sum(p.get("mcmc_proposals", 0.0) for p in traced)
+    chains = sum(p.get("mcmc_chains", 0.0) for p in traced)
     return {
         "decompose.whiten_s": total("decompose.whiten"),
         "decompose.whiten_peak_mb": peak_mb("decompose.whiten"),
@@ -472,6 +500,8 @@ def layer_metrics(tracer: Tracer, traced: List[dict], plain: List[dict],
         "mcmc.acceptance_rate": (sum(p.get("mcmc_accepted", 0.0) for p in traced) / proposals
                                  if proposals else 0.0),
         "mcmc.proposals": proposals / n,
+        "mcmc.unmoved_share": (sum(p.get("mcmc_unmoved", 0.0) for p in traced) / chains
+                               if chains else 0.0),
         "mcmc.warnings": handler.counts.get("mcmc", 0) / (n + len(plain)),
         "io.write_uci_s": _median(traced, "write_uci_s"),
         "io.read_uci_s": _median(traced, "read_uci_s"),
