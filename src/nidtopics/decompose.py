@@ -17,6 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 from scipy.optimize import minimize_scalar, nnls
+from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh
 
 from .corpus import Corpus
 from .families import IDFamily
@@ -119,25 +120,39 @@ class TopicModel:
         return float(self.alpha.sum())
 
 
-def whiten(M2: np.ndarray, k: int, return_spectrum: bool = False):
+def whiten(M2, k: int, return_spectrum: bool = False):
     """Top-k whitening pair (W, Winv_t) with W.T @ M2 @ W = I_k.
 
+    ``M2`` is a symmetric (d, d) ndarray or ``LinearOperator``.  The top-k
+    eigenpairs come from Lanczos (``eigsh``) started at a fixed seeded
+    vector, so the output is deterministic; only k == d, which ARPACK cannot
+    do, materializes ``M2 @ I`` for a dense ``eigh``.  The rank cut is
+    relative: eigenvalue k must be positive and above 1e-10 times the top one.
     Winv_t maps whitened vectors back: Winv_t = U_k diag(s_k)^(1/2).
     """
-    M2 = np.asarray(M2, dtype=float)
+    if not isinstance(M2, LinearOperator):
+        M2 = np.asarray(M2, dtype=float)
     if M2.ndim != 2 or M2.shape[0] != M2.shape[1]:
         raise ValueError("M2 must be square")
-    if k < 1 or k > M2.shape[0]:
-        raise ValueError(f"k={k} out of range for d={M2.shape[0]}")
-    evals, evecs = np.linalg.eigh(0.5 * (M2 + M2.T))
-    order = np.argsort(evals)[::-1]
-    evals = evals[order][:k]
-    evecs = evecs[:, order][:, :k]
-    if evals[-1] <= 1e-10:
+    if isinstance(M2, np.ndarray):
+        M2 = 0.5 * (M2 + M2.T)
+    d = M2.shape[0]
+    if k < 1 or k > d:
+        raise ValueError(f"k={k} out of range for d={d}")
+    if k == d:
+        evals, evecs = np.linalg.eigh(M2 @ np.eye(d))
+    else:
+        v0 = np.random.default_rng(0).standard_normal(d)
+        evals, evecs = eigsh(aslinearoperator(M2), k, which="LA", v0=v0)
+    order = np.argsort(evals)[::-1][:k]
+    evals = evals[order]
+    evecs = evecs[:, order]
+    if not evals[-1] > max(0.0, 1e-10 * evals[0]):
         prev = evals[-2] if k >= 2 else float("inf")
         raise RankDeficiencyError(
             f"eigenvalue {k} of the pair moment is {evals[-1]:.3e} "
-            f"(eigenvalue {k - 1} is {prev:.3e}); cannot whiten to rank {k}")
+            f"(eigenvalue {k - 1} is {prev:.3e}, eigenvalue 1 is {evals[0]:.3e}); "
+            f"cannot whiten to rank {k}")
     root = np.sqrt(evals)
     if return_spectrum:
         return evecs / root, evecs * root, evals
@@ -336,32 +351,27 @@ def learn(corpus: Corpus, family: IDFamily, k: int, alpha0: Union[float, str],
             w = compute_weights(family, a0_for_weights)
     with _stage("moments"):
         ms = accumulate(corpus, strict=config.strict_short_docs, threads=threads)
-    return _learn_from_moments(ms, family, k, alpha0, w, config, threads)
+    return learn_from_moments(ms, family, k, alpha0, w, config)
 
 
 def learn_from_moments(ms: MomentSet, family: IDFamily, k: int,
                        alpha0: Union[float, str], weights: Weights,
-                       config: Optional[LearnConfig] = None,
-                       threads: int = 1) -> TopicModel:
+                       config: Optional[LearnConfig] = None) -> TopicModel:
     """Pipeline tail for callers that already hold a MomentSet."""
-    return _learn_from_moments(ms, family, k, alpha0, weights,
-                               config or LearnConfig(), threads)
-
-
-def _learn_from_moments(ms, family, k, alpha0, w, config, threads):
+    config = config or LearnConfig()
     with _stage("m2"):
-        m2 = build_m2(ms, w)
+        m2 = build_m2(ms, weights)
     with _stage("whiten"):
         W, Winv_t, m2_spectrum = whiten(m2, k, return_spectrum=True)
     with _stage("m3"):
-        t = build_whitened_m3(ms, w, W)
+        t = build_whitened_m3(ms, weights, W)
     with _stage("decompose"):
         dr = decompose(t, config.power, k=k)
     with _stage("recover"):
         model = recover(dr, Winv_t, ms.m1, family, alpha0)
 
     model.diagnostics["residual"] = dr.residual
-    model.diagnostics["weights"] = (w.v, w.v1, w.v2)
+    model.diagnostics["weights"] = (weights.v, weights.v1, weights.v2)
     model.diagnostics["m2_spectrum"] = m2_spectrum
     flags = []
     if dr.exhausted or dr.n_components < k:

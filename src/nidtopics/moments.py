@@ -5,9 +5,10 @@ c and document length N, every ordered pair of distinct positions
 contributes 1/(N(N-1)) to the pair matrix and every ordered triple of
 distinct positions 1/(N(N-1)(N-2)) to the triple tensor; both are unbiased
 for E[x1 (x) x2] and E[x1 (x) x2 (x) x3] under conditional independence
-given the topic proportions.  The raw third moment is never materialized in
-vocabulary dimension: it is exposed as a contraction against three d-by-k
-matrices, streamed over documents.
+given the topic proportions.  Neither moment is materialized in vocabulary
+dimension: the pair moment is a symmetric d-by-d ``LinearOperator`` applied
+through the sparse counts, and the raw third moment is a contraction against
+three d-by-k matrices, streamed over documents.  Memory stays O(nnz + d k).
 
 Documents too short for a moment order are salvaged for the lower orders
 (N >= 2 feeds the pair matrix, N >= 1 the mean) unless ``strict`` is set.
@@ -19,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator
 
 from .corpus import Corpus
 from .util import run_chunked
@@ -33,27 +35,41 @@ class ShortDocumentError(ValueError):
 
 @dataclass
 class MomentSet:
-    """First and second word moments plus a streamed triple contraction.
+    """First word moment, pair-moment operator and streamed triple contraction.
 
+    ``m2`` is the raw pair moment E[x1 (x) x2] as a symmetric (d, d)
+    ``LinearOperator``: ``ms.m2 @ X`` costs O(nnz * X.shape[1]) and the d-by-d
+    matrix never exists (``ms.m2 @ np.eye(d)`` materializes it for small d).
     ``triple(W1, W2, W3)`` contracts the raw third-order moment with three
     (d, k) matrices and returns a (k, k, k) array.
     """
 
     m1: np.ndarray
-    m2: np.ndarray
+    m2: LinearOperator
     triple: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     doc_count: int
     n_pair_docs: int = 0
     n_triple_docs: int = 0
 
 
-def _pair_matrix(counts: sp.csr_matrix, scale: np.ndarray) -> np.ndarray:
-    """sum_d scale_d * (c_d (x) c_d - diag(c_d)) as a dense matrix."""
-    scaled = counts.multiply(scale[:, None]).tocsr()
-    m2 = (scaled.T @ counts).toarray().astype(float)
-    diag = np.asarray(scaled.sum(axis=0)).ravel()
-    m2[np.diag_indices_from(m2)] -= diag
-    return m2
+def _symmetric_operator(d: int, matmat: Callable[[np.ndarray], np.ndarray]) -> LinearOperator:
+    """(d, d) symmetric operator from its action on a (d, m) block."""
+    def matvec(x):
+        return matmat(np.reshape(x, (d, 1))).ravel()
+    return LinearOperator((d, d), matvec=matvec, rmatvec=matvec, matmat=matmat,
+                          rmatmat=matmat, dtype=float)
+
+
+def _pair_operator(counts: sp.csr_matrix, scale: np.ndarray, n_docs: int) -> LinearOperator:
+    """sum_d scale_d * (c_d (x) c_d - diag(c_d)) / n_docs, applied as
+    X -> (C^T (s * (C X)) - ctilde * X) / n_docs with ctilde = C^T s."""
+    C = counts.astype(float)
+    ctilde = C.T @ scale
+
+    def matmat(X):
+        return (C.T @ (scale[:, None] * (C @ X)) - ctilde[:, None] * X) / n_docs
+
+    return _symmetric_operator(counts.shape[1], matmat)
 
 
 def _make_triple(counts: sp.csr_matrix, scale: np.ndarray, n_docs: int,
@@ -120,7 +136,7 @@ def accumulate(corpus: Corpus, strict: bool = False, threads: int = 1) -> Moment
     if not np.any(has2):
         raise ValueError("no documents with at least 2 words; cannot form pair moments")
     pair_scale = np.where(has2, 1.0 / np.maximum(lengths * (lengths - 1.0), 1.0), 0.0)
-    m2 = _pair_matrix(counts, pair_scale) / has2.sum()
+    m2 = _pair_operator(counts, pair_scale, int(has2.sum()))
 
     has3 = lengths >= 3
     n3 = int(has3.sum())
@@ -148,7 +164,7 @@ def exact_moment_set(model, A: np.ndarray) -> MomentSet:
     m2h = moment_matrix(model)
     t3h = moment_tensor(model)
     m1 = A @ m1h
-    m2 = A @ m2h @ A.T
+    m2 = _symmetric_operator(A.shape[0], lambda X: A @ (m2h @ (A.T @ X)))
 
     def triple(W1, W2, W3):
         return np.einsum("abc,ai,bj,cl->ijl", t3h, A.T @ W1, A.T @ W2, A.T @ W3)
@@ -156,9 +172,10 @@ def exact_moment_set(model, A: np.ndarray) -> MomentSet:
     return MomentSet(m1=m1, m2=m2, triple=triple, doc_count=0)
 
 
-def build_m2(ms: MomentSet, w: Weights) -> np.ndarray:
-    """Centered second moment  E[x1 (x) x2] + v E[x1] (x) E[x2]."""
-    return ms.m2 + w.v * np.outer(ms.m1, ms.m1)
+def build_m2(ms: MomentSet, w: Weights) -> LinearOperator:
+    """Centered second moment  E[x1 (x) x2] + v E[x1] (x) E[x2], as an operator."""
+    m2, m1, v = ms.m2, ms.m1, w.v
+    return _symmetric_operator(m1.size, lambda X: m2 @ X + v * np.outer(m1, m1 @ X))
 
 
 def build_whitened_m3(ms: MomentSet, w: Weights, whitener: np.ndarray) -> np.ndarray:
@@ -170,7 +187,7 @@ def build_whitened_m3(ms: MomentSet, w: Weights, whitener: np.ndarray) -> np.nda
     if W.shape[0] != ms.m1.size:
         raise ValueError(f"whitener has {W.shape[0]} rows, expected {ms.m1.size}")
     u = W.T @ ms.m1
-    g = W.T @ ms.m2 @ W
+    g = W.T @ (ms.m2 @ W)
     t = ms.triple(W, W, W)
     t = t + w.v2 * np.einsum("i,j,l->ijl", u, u, u)
     t += w.v1 * (np.einsum("ij,l->ijl", g, u)

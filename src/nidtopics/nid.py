@@ -302,13 +302,20 @@ def density(model: NIDModel, h) -> float:
 
     def log_integrand(s):
         out = (k - 1.0) * np.log(s)
-        for i in range(k):
-            out = out + _log_marginal(family, alpha[i], h[i] * s)
-        return out
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for i in range(k):
+                out = out + _log_marginal(family, alpha[i], h[i] * s)
+        # h_i * s can underflow to 0, where a marginal that vanishes at the
+        # origin (invgauss, stable:0.5) reads inf - inf = nan; the integrand
+        # is 0 there.  Mapped once per evaluation, not per coordinate: the
+        # marginals are the inner loop of run_chain's prior density.
+        return np.fmax(out, -np.inf, out=out)
 
     # normalize in log space so the quadrature never overflows
     probe = np.logspace(-6, 6, 61)
     shift = float(np.max(log_integrand(probe)))
+    if shift == -np.inf:     # every h_i * s underflowed: the density is 0 here
+        return 0.0
     res = integrate_semi_infinite(
         lambda s: np.exp(np.clip(log_integrand(s) - shift, -745.0, 50.0)),
         singular_origin=True,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import ortho_group
@@ -33,7 +35,7 @@ def test_whiten_exact_moment_matrix():
     w = compute_weights(gamma_family(1.0), 8.0)
     m2 = build_m2(exact_moment_set(model, A), w)
     W, Winv_t = whiten(m2, 3)
-    assert np.max(np.abs(W.T @ m2 @ W - np.eye(3))) < 1e-8
+    assert np.max(np.abs(W.T @ (m2 @ W) - np.eye(3))) < 1e-8
     assert np.allclose(Winv_t.T @ W, np.eye(3), atol=1e-8)
 
 
@@ -43,6 +45,28 @@ def test_whiten_rank_deficiency_error_names_gap():
         whiten(m, 5)
     msg = str(exc.value)
     assert "eigenvalue" in msg and "5" in msg
+
+
+def test_whiten_rank_cut_is_relative_to_top_eigenvalue():
+    small = 1e-12 * np.diag([1.0, 0.5, 0.2])
+    W, _ = whiten(small, 3)
+    assert np.allclose(W.T @ small @ W, np.eye(3), atol=1e-8)
+    with pytest.raises(RankDeficiencyError):
+        whiten(1e6 * np.diag([1.0, 0.5, 1e-12]), 3)
+    with pytest.raises(RankDeficiencyError):
+        whiten(np.diag([1.0, 0.5, -0.1]), 3)
+
+
+def test_whiten_operator_matches_dense_eigh_and_is_deterministic():
+    corpus, _ = _small_corpus(gamma_family(1.0), seed=6, n_docs=400)
+    m2 = build_m2(accumulate(corpus), compute_weights(gamma_family(1.0), 1.0))
+    W, Winv_t, evals = whiten(m2, 3, return_spectrum=True)
+    dense_evals, dense_evecs = np.linalg.eigh(m2 @ np.eye(corpus.d))
+    assert np.allclose(evals, dense_evals[::-1][:3], rtol=1e-10)
+    U = dense_evecs[:, ::-1][:, :3]
+    assert np.allclose(W @ Winv_t.T, U @ U.T, atol=1e-10)
+    W2, Winv_t2 = whiten(m2, 3)
+    assert np.array_equal(W, W2) and np.array_equal(Winv_t, Winv_t2)
 
 
 def test_whiten_input_validation():
@@ -231,6 +255,23 @@ def test_learn_true_rank_not_flagged_for_rank():
     flags = model.diagnostics.get("flags", [])
     assert not any("eigenvalue" in f or f.startswith("rank_exhausted")
                    for f in flags)
+
+
+def test_learn_memory_stays_below_a_vocabulary_square_matrix():
+    # a quarter of one d x d float matrix: learn must never form the pair moment
+    d, k = 4000, 3
+    rng = np.random.default_rng(14)
+    truth = TopicModel(A=rng.dirichlet(np.full(d, 0.05), size=k).T,
+                       alpha=np.ones(k), family=gamma_family(1.0))
+    corpus, _ = generate(truth, SynthConfig(500, 50, seed=14))
+    tracemalloc.start()
+    try:
+        model = learn(corpus, gamma_family(1.0), k, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.A.shape == (d, k)
+    assert peak < d * d * 8 / 4
 
 
 def test_learn_rejects_empty_corpus():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
@@ -159,3 +161,14 @@ def test_unsupported_prior_family_raises():
     model = _two_topic_model(family=stable_family(0.7))
     with pytest.raises(UnsupportedFamilyError):
         run_chain(_doc(2, 2), model, 50, 10, seed=6)
+
+
+def test_chain_survives_proposal_with_underflowing_coordinate(monkeypatch):
+    # on these benchmark inputs an invgauss:4 chain proposes h_6 ~ 9e-239,
+    # whose prior density once raised "non-finite integrand"
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+    inp = workloads.make_inputs(workloads.WORKLOADS["data-path"], 508)
+    res = run_chain(inp.corpus.doc_words(16), inp.truth, 125, 25, seed=524)
+    assert len(res.states) == 100
+    assert all(np.all(np.isfinite(st.h)) for st in res.states)

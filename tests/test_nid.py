@@ -364,6 +364,17 @@ def test_density_rejects_unsupported_and_boundary():
         density(model, np.array([0.0, 1.0]))
 
 
+def test_density_with_underflowing_coordinate_is_finite():
+    # h_1 * s underflows to 0 near the origin of the mixing integral; the
+    # inverse Gaussian marginal must read -inf there, not inf - inf = nan
+    model = NIDModel(invgauss_family(4.0), np.array([1.0, 1.0, 1.0]))
+    value = density(model, np.array([1e-238, 0.5, 0.5 - 1e-238]))
+    assert np.isfinite(value)
+    # gamma at a_i = 1 reads 0 * log(0) there; the flat Dirichlet density is 2
+    model = NIDModel(gamma_family(1.0), np.array([1.0, 1.0, 1.0]))
+    assert density(model, np.array([1e-320, 0.5, 0.5])) == pytest.approx(2.0, rel=1e-7)
+
+
 # ---------------------------------------------------------------------------
 # correlation structure
 
