@@ -2,8 +2,9 @@
 
 Subcommands: generate, weights, learn, eval, tune, infer, correlate.
 Every command takes --seed (all randomness flows from it, so fixed-seed runs
-are byte-identical), --threads and --quiet.  Exit codes: 0 success, 1 usage
-error, 2 runtime error (message names the failing stage).
+are byte-identical), --threads (worker pool for tune and infer) and --quiet.
+Exit codes: 0 success, 1 usage error, 2 runtime error (message names the
+failing stage).
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ def build_parser() -> _Parser:
     p = _Parser(prog="nidtopics",
                 description="Spectral learning for simplex-prior topic models")
     p.add_argument("--seed", type=int, default=0, help="master random seed")
-    p.add_argument("--threads", type=int, default=1, help="worker pool size")
+    p.add_argument("--threads", type=int, default=1, help="worker pool size for tune and infer")
     p.add_argument("--quiet", action="store_true", help="suppress progress notes")
     sub = p.add_subparsers(dest="command")
 
@@ -175,7 +176,7 @@ def _cmd_learn(args) -> int:
     alpha0 = "fit" if args.alpha0 == "fit" else float(args.alpha0)
     config = LearnConfig(power=PowerMethodConfig(
         n_restarts=args.restarts, n_iterations=args.iterations, seed=args.seed))
-    model = learn(corpus, family, args.k, alpha0, config=config, threads=args.threads)
+    model = learn(corpus, family, args.k, alpha0, config=config)
     nio.write_topic_model(model, args.out)
     eigs = model.diagnostics.get("lambdas", [])
     _note(args, "eigenvalues: " + " ".join(f"{x:.6g}" for x in eigs))

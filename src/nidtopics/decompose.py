@@ -160,12 +160,14 @@ def whiten(M2, k: int, return_spectrum: bool = False):
 
 
 def _tensor_apply(T: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """T(I, u, u) for each column u of theta."""
-    return np.einsum("ijl,jm,lm->im", T, theta, theta)
+    """T(I, u, u) for each column u of theta, as one (k, k^2) matrix product."""
+    k, m = theta.shape
+    return T.reshape(k, k * k) @ (theta[:, None, :] * theta[None, :, :]).reshape(k * k, m)
 
 
 def _rayleigh(T: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    return np.einsum("ijl,im,jm,lm->m", T, theta, theta, theta)
+    """T(u, u, u) for each column u of theta."""
+    return np.sum(theta * _tensor_apply(T, theta), axis=0)
 
 
 def decompose(T: np.ndarray, config: PowerMethodConfig = PowerMethodConfig(),
@@ -209,7 +211,7 @@ def decompose(T: np.ndarray, config: PowerMethodConfig = PowerMethodConfig(),
         u = theta[:, best].copy()
         ok = False
         for _ in range(config.n_iterations):
-            nxt = np.einsum("ijl,j,l->i", work, u, u)
+            nxt = _tensor_apply(work, u[:, None])[:, 0]
             n = np.linalg.norm(nxt)
             if n == 0.0:
                 break
@@ -221,7 +223,7 @@ def decompose(T: np.ndarray, config: PowerMethodConfig = PowerMethodConfig(),
             u = nxt
         if not ok:
             converged = False
-        lam_u = float(np.einsum("ijl,i,j,l->", work, u, u, u))
+        lam_u = float(_rayleigh(work, u[:, None])[0])
         if abs(lam_u) < floor:
             exhausted = True
             break
@@ -328,7 +330,7 @@ class LearnConfig:
 
 
 def learn(corpus: Corpus, family: IDFamily, k: int, alpha0: Union[float, str],
-          config: Optional[LearnConfig] = None, threads: int = 1,
+          config: Optional[LearnConfig] = None,
           weights_override: Optional[Weights] = None) -> TopicModel:
     """Full pipeline from a corpus to a TopicModel.
 
@@ -350,7 +352,7 @@ def learn(corpus: Corpus, family: IDFamily, k: int, alpha0: Union[float, str],
             a0_for_weights = 1.0 if alpha0 == "fit" else float(alpha0)
             w = compute_weights(family, a0_for_weights)
     with _stage("moments"):
-        ms = accumulate(corpus, strict=config.strict_short_docs, threads=threads)
+        ms = accumulate(corpus, strict=config.strict_short_docs)
     return learn_from_moments(ms, family, k, alpha0, w, config)
 
 

@@ -8,22 +8,23 @@ for E[x1 (x) x2] and E[x1 (x) x2 (x) x3] under conditional independence
 given the topic proportions.  Neither moment is materialized in vocabulary
 dimension: the pair moment is a symmetric d-by-d ``LinearOperator`` applied
 through the sparse counts, and the raw third moment is a contraction against
-three d-by-k matrices, streamed over documents.  Memory stays O(nnz + d k).
+three d-by-k matrices run as BLAS matrix products over row chunks: O(nnz k +
+n_docs k^3 + d k^3) time and O(nnz + n_docs k + d k + _CHUNK k^2) memory.
 
 Documents too short for a moment order are salvaged for the lower orders
 (N >= 2 feeds the pair matrix, N >= 1 the mean) unless ``strict`` is set.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import khatri_rao
 from scipy.sparse.linalg import LinearOperator
 
 from .corpus import Corpus
-from .util import run_chunked
 from .weights import Weights
 
 _CHUNK = 1024
@@ -60,61 +61,56 @@ def _symmetric_operator(d: int, matmat: Callable[[np.ndarray], np.ndarray]) -> L
                           rmatmat=matmat, dtype=float)
 
 
-def _pair_operator(counts: sp.csr_matrix, scale: np.ndarray, n_docs: int) -> LinearOperator:
+def _pair_operator(C: sp.csr_matrix, scale: np.ndarray, n_docs: int) -> LinearOperator:
     """sum_d scale_d * (c_d (x) c_d - diag(c_d)) / n_docs, applied as
     X -> (C^T (s * (C X)) - ctilde * X) / n_docs with ctilde = C^T s."""
-    C = counts.astype(float)
     ctilde = C.T @ scale
 
     def matmat(X):
         return (C.T @ (scale[:, None] * (C @ X)) - ctilde[:, None] * X) / n_docs
 
-    return _symmetric_operator(counts.shape[1], matmat)
+    return _symmetric_operator(C.shape[1], matmat)
 
 
-def _make_triple(counts: sp.csr_matrix, scale: np.ndarray, n_docs: int,
-                 threads: int = 1):
+def _khatri_rao_sum(X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """sum_a X_ai Y_aj Z_al as a (k1 * k2, k3) matrix, ``_CHUNK`` rows at a time."""
+    t = np.zeros((X.shape[1] * Y.shape[1], Z.shape[1]))
+    for i in range(0, X.shape[0], _CHUNK):
+        sl = slice(i, i + _CHUNK)
+        t += khatri_rao(X[sl].T, Y[sl].T) @ Z[sl]
+    return t
+
+
+def _make_triple(C: sp.csr_matrix, scale: np.ndarray, n_docs: int):
     """Closure contracting the distinct-position triple tensor.
 
     For one document the tensor is
-        c (x) c (x) c  -  three pairings of diag(c) with c  +  2 superdiag(c),
-    which contracts against (W1, W2, W3) in O(nnz * k^2 + k^3) per document.
+        c (x) c (x) c  -  three pairings of diag(c) with c  +  2 superdiag(c).
+    With P_i = C W_i and R_i = C^T (s * P_i) every term is a matrix product:
+    the main term sums khatri_rao(s * P1, P2)^T P3 over documents, and the
+    pairings and the superdiagonal sum khatri_rao products of W_i, R_i and
+    ctilde * W_i over the vocabulary.  Cost O(nnz * k + n_docs * k^3 + d * k^3)
+    time and O(nnz + n_docs * k + d * k + _CHUNK * k^2) memory.
     """
-    ctilde = np.asarray(counts.multiply(scale[:, None]).sum(axis=0)).ravel()
+    ctilde = C.T @ scale
 
     def triple(W1: np.ndarray, W2: np.ndarray, W3: np.ndarray) -> np.ndarray:
-        d = counts.shape[1]
+        d = C.shape[1]
         for W in (W1, W2, W3):
             if W.shape[0] != d:
                 raise ValueError(f"contraction matrix has {W.shape[0]} rows, expected {d}")
-        k1, k2, k3 = W1.shape[1], W2.shape[1], W3.shape[1]
-        q12 = np.einsum("ai,aj->aij", W1, W2).reshape(d, k1 * k2)
-        q13 = np.einsum("ai,al->ail", W1, W3).reshape(d, k1 * k3)
-        q23 = np.einsum("aj,al->ajl", W2, W3).reshape(d, k2 * k3)
-
-        def one_chunk(sl: slice) -> np.ndarray:
-            c = counts[sl]
-            s = scale[sl]
-            p1, p2, p3 = c @ W1, c @ W2, c @ W3
-            t = np.einsum("m,mi,mj,ml->ijl", s, p1, p2, p3)
-            t -= np.einsum("mq,ml->ql", (c @ q12) * s[:, None], p3).reshape(k1, k2, k3)
-            t -= np.einsum("mq,mj->qj", (c @ q13) * s[:, None], p2) \
-                .reshape(k1, k3, k2).transpose(0, 2, 1)
-            t -= np.einsum("mq,mi->iq", (c @ q23) * s[:, None], p1) \
-                .reshape(k1, k2, k3)
-            return t
-
-        chunks = [slice(i, min(i + _CHUNK, counts.shape[0]))
-                  for i in range(0, counts.shape[0], _CHUNK)]
-        parts = run_chunked(one_chunk, chunks, threads)
-        t = sum(parts) if parts else np.zeros((k1, k2, k3))
-        t += 2.0 * np.einsum("a,ai,aj,al->ijl", ctilde, W1, W2, W3)
-        return t / n_docs
+        sP1, P2, P3 = scale[:, None] * (C @ W1), C @ W2, C @ W3
+        R1, R2, R3 = C.T @ sP1, C.T @ (scale[:, None] * P2), C.T @ (scale[:, None] * P3)
+        t = _khatri_rao_sum(sP1, P2, P3)
+        t += _khatri_rao_sum(W1, W2, 2.0 * ctilde[:, None] * W3 - R3)
+        t -= _khatri_rao_sum(W1, R2, W3)
+        t -= _khatri_rao_sum(R1, W2, W3)
+        return t.reshape(W1.shape[1], W2.shape[1], W3.shape[1]) / n_docs
 
     return triple
 
 
-def accumulate(corpus: Corpus, strict: bool = False, threads: int = 1) -> MomentSet:
+def accumulate(corpus: Corpus, strict: bool = False) -> MomentSet:
     """Average the per-document unbiased moment statistics over a corpus."""
     if corpus.n_docs == 0:
         raise ValueError("empty corpus")
@@ -124,19 +120,21 @@ def accumulate(corpus: Corpus, strict: bool = False, threads: int = 1) -> Moment
         raise ShortDocumentError(
             f"{short.size} document(s) shorter than 3 words: ids {short[:20].tolist()}")
 
+    # one float copy of the counts, sharing the corpus's index arrays
     counts = corpus.counts
+    C = sp.csr_matrix((counts.data.astype(float), counts.indices, counts.indptr),
+                      shape=counts.shape)
     has1 = lengths >= 1
     if not np.any(has1):
         raise ValueError("corpus has no non-empty documents")
     inv_len = np.where(has1, 1.0 / np.maximum(lengths, 1.0), 0.0)
-    m1 = np.asarray(counts.multiply(inv_len[:, None]).sum(axis=0)).ravel()
-    m1 /= has1.sum()
+    m1 = (C.T @ inv_len) / has1.sum()
 
     has2 = lengths >= 2
     if not np.any(has2):
         raise ValueError("no documents with at least 2 words; cannot form pair moments")
     pair_scale = np.where(has2, 1.0 / np.maximum(lengths * (lengths - 1.0), 1.0), 0.0)
-    m2 = _pair_operator(counts, pair_scale, int(has2.sum()))
+    m2 = _pair_operator(C, pair_scale, int(has2.sum()))
 
     has3 = lengths >= 3
     n3 = int(has3.sum())
@@ -145,7 +143,7 @@ def accumulate(corpus: Corpus, strict: bool = False, threads: int = 1) -> Moment
                                  "third-order statistics undefined")
     triple_scale = np.where(
         has3, 1.0 / np.maximum(lengths * (lengths - 1.0) * (lengths - 2.0), 1.0), 0.0)
-    triple = _make_triple(counts, triple_scale, n3, threads=threads)
+    triple = _make_triple(C, triple_scale, n3)
 
     return MomentSet(m1=m1, m2=m2, triple=triple, doc_count=corpus.n_docs,
                      n_pair_docs=int(has2.sum()), n_triple_docs=n3)
@@ -167,7 +165,8 @@ def exact_moment_set(model, A: np.ndarray) -> MomentSet:
     m2 = _symmetric_operator(A.shape[0], lambda X: A @ (m2h @ (A.T @ X)))
 
     def triple(W1, W2, W3):
-        return np.einsum("abc,ai,bj,cl->ijl", t3h, A.T @ W1, A.T @ W2, A.T @ W3)
+        return np.einsum("abc,ai,bj,cl->ijl", t3h, A.T @ W1, A.T @ W2, A.T @ W3,
+                         optimize=True)
 
     return MomentSet(m1=m1, m2=m2, triple=triple, doc_count=0)
 

@@ -10,7 +10,7 @@ from nidtopics import (
     compute_weights, decompose, exact_moment_set, gamma_family, generate,
     invgauss_family, learn, moment, moment_vector, recover, whiten,
 )
-from nidtopics.decompose import RecoveryError, learn_from_moments
+from nidtopics.decompose import RecoveryError, _rayleigh, _tensor_apply, learn_from_moments
 from nidtopics.util import match_columns
 
 
@@ -131,6 +131,16 @@ def test_decompose_deterministic():
     b = decompose(t, PowerMethodConfig(seed=9))
     assert np.array_equal(a.components, b.components)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+
+def test_power_step_helpers_match_einsum_on_nonsymmetric_tensor():
+    rng = np.random.default_rng(8)
+    T = rng.normal(size=(5, 5, 5))
+    theta = rng.normal(size=(5, 7))
+    assert np.allclose(_tensor_apply(T, theta),
+                       np.einsum("ijl,jm,lm->im", T, theta, theta), rtol=0, atol=1e-12)
+    assert np.allclose(_rayleigh(T, theta),
+                       np.einsum("ijl,im,jm,lm->m", T, theta, theta, theta), rtol=0, atol=1e-12)
 
 
 def test_decompose_validates_shape():

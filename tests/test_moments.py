@@ -10,6 +10,7 @@ from nidtopics import (
     build_whitened_m3, corpus_from_docs, exact_moment_set, gamma_family,
     generate,
 )
+from nidtopics import moments
 from nidtopics.moments import ShortDocumentError
 
 
@@ -115,16 +116,27 @@ def test_chunk_order_does_not_change_results():
     assert np.allclose(ms_a.triple(w, w, w), ms_b.triple(w, w, w), atol=1e-10)
 
 
-def test_threaded_accumulation_matches_serial():
-    rng = np.random.default_rng(4)
-    docs = [{int(w): 1 for w in rng.choice(10, size=5, replace=False)}
-            for _ in range(30)]
-    corpus = corpus_from_docs(docs, d=10)
-    a = accumulate(corpus, threads=1)
-    b = accumulate(corpus, threads=4)
-    w = rng.normal(size=(10, 2))
-    assert np.allclose(a.m1, b.m1, atol=1e-12)
-    assert np.allclose(a.triple(w, w, w), b.triple(w, w, w), atol=1e-10)
+@pytest.mark.parametrize("chunk", [None, 2])
+def test_triple_with_distinct_contraction_matrices_matches_brute_force(chunk, monkeypatch):
+    # three different widths, so a swapped mode in any pairing term shows;
+    # lengths 1 and 2 feed no triples, lengths 3 and 6 repeat words
+    if chunk is not None:
+        monkeypatch.setattr(moments, "_CHUNK", chunk)
+    docs = [{2: 1}, {0: 2}, {1: 1, 3: 2}, {0: 3, 2: 1, 4: 2}, {4: 1, 1: 1, 0: 1},
+            {3: 4, 1: 2}, {2: 2, 3: 1}]
+    d = 5
+    corpus = corpus_from_docs(docs, d=d)
+    ms = accumulate(corpus)
+    m3 = np.zeros((d, d, d))
+    long_docs = [doc for doc in docs if sum(doc.values()) >= 3]
+    for doc in long_docs:
+        m3 += _brute_force_moments(doc, d)[2] / len(long_docs)
+    rng = np.random.default_rng(6)
+    W1, W2, W3 = (rng.normal(size=(d, k)) for k in (2, 3, 4))
+    expected = np.einsum("abc,ai,bj,cl->ijl", m3, W1, W2, W3)
+    t = ms.triple(W1, W2, W3)
+    assert t.shape == (2, 3, 4)
+    assert np.max(np.abs(t - expected)) < 1e-12
 
 
 def test_short_documents_rejected_in_strict_mode():
