@@ -19,7 +19,7 @@ from .nid import (
     moment_matrix, moment_tensor, moment_vector, sample,
 )
 from .synth import SynthConfig, TopicAssignment, generate
-from .tuner import TuneCandidate, TuneReport, tune, tune_direct
+from .tuner import TuneCandidate, TuneReport, tune
 from .weights import OmegaSpec, Weights, compute_weights, omega
 
 __all__ = [
@@ -36,6 +36,6 @@ __all__ = [
     "correlation_profile", "density", "ig_mean_correlation_profile", "moment",
     "moment_matrix", "moment_tensor", "moment_vector", "sample",
     "SynthConfig", "TopicAssignment", "generate",
-    "TuneCandidate", "TuneReport", "tune", "tune_direct",
+    "TuneCandidate", "TuneReport", "tune",
     "OmegaSpec", "Weights", "compute_weights", "omega",
 ]

@@ -2,7 +2,9 @@
 
 Subcommands: generate, weights, learn, eval, tune, infer, correlate.
 Every command takes --seed (all randomness flows from it, so fixed-seed runs
-are byte-identical), --threads (worker pool for tune and infer) and --quiet.
+are byte-identical) and --quiet.  ``infer`` draws each document's posterior
+with the exact augmented Gibbs sampler of ``mcmc``; its
+--proposal-concentration is a deprecated no-op kept for one release.
 Exit codes: 0 success, 1 usage error, 2 runtime error (message names the
 failing stage).
 """
@@ -22,8 +24,7 @@ from .families import FamilyError, parse_family
 from .mcmc import posterior_mean_h, run_chain
 from .nid import NIDModel, correlation_profile, ig_mean_correlation_profile
 from .synth import SynthConfig, generate
-from .tuner import TuneCandidate, tune, tune_direct
-from .util import run_chunked
+from .tuner import TuneCandidate, tune
 from .weights import compute_weights
 
 
@@ -40,7 +41,6 @@ def build_parser() -> _Parser:
     p = _Parser(prog="nidtopics",
                 description="Spectral learning for simplex-prior topic models")
     p.add_argument("--seed", type=int, default=0, help="master random seed")
-    p.add_argument("--threads", type=int, default=1, help="worker pool size for tune and infer")
     p.add_argument("--quiet", action="store_true", help="suppress progress notes")
     sub = p.add_subparsers(dest="command")
 
@@ -89,21 +89,19 @@ def build_parser() -> _Parser:
                         "e.g. 'gamma:1@0.5,1;invgauss:4@1'")
     t.add_argument("--split", type=float, default=0.8)
     t.add_argument("--samples", type=int, default=256)
-    t.add_argument("--direct-weights", default=None,
-                   help="experimental: semicolon-joined 'v,v1,v2' triples scored by "
-                        "deflation residual (needs --family for metadata)")
-    t.add_argument("--family", default="gamma:1",
-                   help="metadata family for --direct-weights mode")
     t.add_argument("--out-model", default=None)
     t.add_argument("--out", default=None)
 
-    i = sub.add_parser("infer", help="per-document posterior over topic proportions")
+    i = sub.add_parser("infer", help="per-document posterior means of the topic "
+                                     "proportions, by exact Gibbs sampling")
     i.add_argument("--model", required=True)
     i.add_argument("--corpus", required=True)
     i.add_argument("--steps", type=int, required=True)
     i.add_argument("--burn", type=int, required=True)
     i.add_argument("--thin", type=int, default=1)
-    i.add_argument("--proposal-concentration", type=float, default=50.0)
+    i.add_argument("--proposal-concentration", type=float, default=None,
+                   help="deprecated and ignored: the Gibbs sampler has no proposal "
+                        "to tune; the flag will be removed in the next release")
     i.add_argument("--out", default=None)
 
     c = sub.add_parser("correlate", help="correlation-sign sweep over a family parameter")
@@ -220,18 +218,8 @@ def _parse_grid(text: str):
 
 def _cmd_tune(args) -> int:
     corpus = nio.read_uci(args.corpus)
-    if args.direct_weights:
-        triples = []
-        for chunk in args.direct_weights.split(";"):
-            if chunk.strip():
-                triples.append(tuple(float(x) for x in chunk.split(",")))
-        model, report = tune_direct(corpus, args.k, triples,
-                                    parse_family(args.family), split=args.split,
-                                    seed=args.seed, threads=args.threads)
-    else:
-        model, report = tune(corpus, args.k, _parse_grid(args.grid),
-                             split=args.split, seed=args.seed,
-                             n_h_samples=args.samples, threads=args.threads)
+    model, report = tune(corpus, args.k, _parse_grid(args.grid),
+                         split=args.split, seed=args.seed, n_h_samples=args.samples)
     header = "family\talpha0\tv\tv1\tv2\tperplexity\tresidual\terror"
     lines = [header]
     for row in report.as_table():
@@ -252,17 +240,12 @@ def _cmd_infer(args) -> int:
     if corpus.d != model.d:
         raise ValueError(f"model d={model.d} but corpus d={corpus.d}")
 
-    def one_doc(i: int) -> np.ndarray:
+    lines = ["doc\t" + "\t".join(f"h{j}" for j in range(model.k))]
+    for i in range(corpus.n_docs):
         res = run_chain(corpus.doc_words(i), model, args.steps, args.burn,
-                        proposal_concentration=args.proposal_concentration,
                         seed=np.random.SeedSequence(args.seed, spawn_key=(i,))
                         .generate_state(1)[0], thin=args.thin)
-        return posterior_mean_h(res)
-
-    means = run_chunked(one_doc, list(range(corpus.n_docs)), args.threads)
-    lines = ["doc\t" + "\t".join(f"h{j}" for j in range(model.k))]
-    for i, m in enumerate(means):
-        lines.append(f"{i}\t" + "\t".join(f"{x:.6f}" for x in m))
+        lines.append(f"{i}\t" + "\t".join(f"{x:.6f}" for x in posterior_mean_h(res)))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

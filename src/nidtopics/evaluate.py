@@ -90,7 +90,9 @@ def pmi(model: TopicModel, corpus: Corpus, top_m: int = 10) -> float:
     needed = np.unique(tops)
     col = {int(w): i for i, w in enumerate(needed)}
 
-    present = (corpus.counts[:, needed] > 0).astype(np.int64).toarray()
+    # float64 makes the co-occurrence product a BLAS matmul; counts stay
+    # far below 2^53, so every entry is exact
+    present = (corpus.counts[:, needed] > 0).astype(np.float64).toarray()
     doc_freq = present.sum(axis=0)
     co = present.T @ present
     n_docs = corpus.n_docs

@@ -1,33 +1,38 @@
-"""Per-document posterior inference by Metropolis-within-Gibbs.
+"""Per-document posterior inference by exact augmented Gibbs sampling.
 
 The per-document posterior over (h, zeta) is proportional to
 
     f_prior(h) * prod_i h_i^{n_i} * prod_n A[w_n, zeta_n],
 
-where n_i counts words assigned to topic i.  The topic assignments have a
-closed multinomial full conditional and are Gibbs-sampled exactly; h has no
-tractable conditional under general simplex priors, so it moves through a
-Metropolis-Hastings step with a Dirichlet proposal centered at the current
-point, using the full asymmetric Hastings correction.
+where n_i counts words assigned to topic i and N = sum_i n_i.  Write
+h = z / T with z the independent unnormalized coordinates and T = sum_i z_i,
+and add a latent U | z ~ Gamma(N, rate T) (James, Lijoi & Pruenster,
+Scand. J. Stat. 2009).  Given U and the counts the z_i are independent, each
+with its prior law tilted to density proportional to z^{n_i} e^{-U z} f_i(z):
 
-Prior densities: gamma family in closed form (Dirichlet); inverse Gaussian
-and 1/2-stable through the quadrature density with a cache keyed on h
-rounded to 1e-6 (density calls dominate chain cost otherwise).
+    gamma:lam     Gamma(alpha_i + n_i, rate lam + U)
+    invgauss:lam  GIG(n_i - 1/2, lam^2 + 2U, alpha_i^2)
+    stable:0.5    GIG(n_i - 1/2, 2U, alpha_i^2)
+
+where GIG(p, a, b) has density proportional to x^(p-1) exp(-(a x + b/x) / 2)
+and is drawn by Devroye's vectorised rejection sampler (``nid._gig``).  Each
+step draws U, then z, sets h = z / T, and resamples every topic assignment
+from its multinomial full conditional.  Every update is an exact conditional
+draw, so nothing is rejected, nothing needs tuning and the prior density is
+never evaluated.  Other families have no closed-form tilted law and raise
+``UnsupportedFamilyError``.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 from scipy.special import gammaln
 
+from . import nid
 from .decompose import TopicModel
 from .families import GAMMA
-from .nid import NIDModel, UnsupportedFamilyError, density
-
-log = logging.getLogger(__name__)
 
 _NEG_INF = float("-inf")
 
@@ -36,15 +41,15 @@ _NEG_INF = float("-inf")
 class ChainState:
     h: np.ndarray
     zeta: np.ndarray
-    log_post: float
     step: int
 
 
 @dataclass
 class ChainResult:
     states: List[ChainState]
-    acceptance_rate: float
-    warned: bool = False
+    # kept for callers of the former Metropolis sampler; every Gibbs update
+    # is accepted
+    acceptance_rate: float = 1.0
 
 
 def dirichlet_logpdf(x: np.ndarray, conc: np.ndarray) -> float:
@@ -54,54 +59,16 @@ def dirichlet_logpdf(x: np.ndarray, conc: np.ndarray) -> float:
                  + ((conc - 1.0) * np.log(x)).sum())
 
 
-class _PriorLogDensity:
-    """log f_prior(h) with a small evaluation cache for quadrature families."""
-
-    def __init__(self, model: TopicModel):
-        self.family = model.family
-        self.alpha = model.alpha
-        self._closed_form = model.family.kind == GAMMA
-        if not self._closed_form:
-            self._nid = NIDModel(model.family, model.alpha)
-            self._cache: dict = {}
-
-    def __call__(self, h: np.ndarray) -> float:
-        if np.any(h <= 0.0) or np.any(h >= 1.0):
-            return _NEG_INF
-        if self._closed_form:
-            # normalizing by the sum of gammas is the Dirichlet for any scale
-            return dirichlet_logpdf(h, self.alpha)
-        key = tuple(np.round(h[:-1] / 1e-6).astype(np.int64))
-        hit = self._cache.get(key)
-        if hit is None:
-            val = density(self._nid, h)
-            hit = np.log(val) if val > 0.0 else _NEG_INF
-            self._cache[key] = hit
-        return hit
-
-
 def topic_counts(zeta: np.ndarray, k: int) -> np.ndarray:
     return np.bincount(zeta, minlength=k)
-
-
-def hastings_log_ratio(lp_prop: float, lp_cur: float, h_cur: np.ndarray,
-                       h_prop: np.ndarray, c: float) -> float:
-    """Log acceptance ratio for the Dirichlet(c * center) proposal.
-
-    The posterior ratio plus the asymmetric proposal correction; with a
-    symmetric proposal the correction term would vanish and only
-    lp_prop - lp_cur would remain.
-    """
-    return (lp_prop - lp_cur
-            + dirichlet_logpdf(h_cur, c * h_prop)
-            - dirichlet_logpdf(h_prop, c * h_cur))
 
 
 def log_posterior(h, zeta, doc, model: TopicModel) -> float:
     """Unnormalized log posterior of (h, zeta) for one document.
 
     ``doc`` is the flat array of word ids.  Raises for families without a
-    density and for boundary h.
+    density and for boundary h.  The prior term of invgauss and stable:0.5
+    is the quadrature density ``nid.density``.
     """
     h = np.asarray(h, dtype=float)
     zeta = np.asarray(zeta, dtype=int)
@@ -110,7 +77,14 @@ def log_posterior(h, zeta, doc, model: TopicModel) -> float:
         raise ValueError("zeta must assign one topic per word")
     if np.any(h <= 0.0):
         raise ValueError("log_posterior requires strictly interior h")
-    prior = _PriorLogDensity(model)(h)
+    if np.any(h >= 1.0):
+        prior = _NEG_INF
+    elif model.family.kind == GAMMA:
+        # normalizing by the sum of gammas is the Dirichlet for any scale
+        prior = dirichlet_logpdf(h, model.alpha)
+    else:
+        val = nid.density(nid.NIDModel(model.family, model.alpha), h)
+        prior = float(np.log(val)) if val > 0.0 else _NEG_INF
     n_i = topic_counts(zeta, model.k)
     word_term = float(np.log(model.A[doc, zeta]).sum()) if doc.size else 0.0
     return prior + float((n_i * np.log(h)).sum()) + word_term
@@ -119,7 +93,12 @@ def log_posterior(h, zeta, doc, model: TopicModel) -> float:
 def run_chain(doc, model: TopicModel, n_steps: int, burn_in: int,
               proposal_concentration: float = 50.0, seed: int = 0,
               thin: int = 1) -> ChainResult:
-    """Sample the per-document posterior; returns post-burn-in thinned states."""
+    """Sample the per-document posterior; returns post-burn-in thinned states.
+
+    ``proposal_concentration`` is deprecated and ignored: it tuned the
+    proposal of the former Metropolis sampler.  It is still checked to be
+    positive and will be removed in the next release.
+    """
     if n_steps <= burn_in:
         raise ValueError("n_steps must exceed burn_in")
     if proposal_concentration <= 0.0:
@@ -129,53 +108,20 @@ def run_chain(doc, model: TopicModel, n_steps: int, burn_in: int,
         raise ValueError("word id out of range")
     k = model.k
     rng = np.random.default_rng(seed)
-    prior_logpdf = _PriorLogDensity(model)
-    c = float(proposal_concentration)
 
-    if not (model.family.kind == GAMMA or model.k == 1):
-        # fail early if the prior density cannot be evaluated at all
-        try:
-            prior_logpdf(np.full(k, 1.0 / k))
-        except UnsupportedFamilyError:
-            raise
-
-    h = np.full(k, 1.0 / k)
-    zeta = _gibbs_zeta(doc, h, model.A, rng) if doc.size else np.zeros(0, dtype=int)
-    n_i = topic_counts(zeta, k)
-    word_term = float(np.log(model.A[doc, zeta]).sum()) if doc.size else 0.0
-    log_h_term = lambda hh, nn: float((nn * np.log(hh)).sum())
-    lp = prior_logpdf(h) + log_h_term(h, n_i) + word_term
-
+    z = np.full(k, 1.0 / k)   # start at the uniform h, with T = 1
+    zeta = _gibbs_zeta(doc, z, model.A, rng)
     states: List[ChainState] = []
-    accepted = 0
-    proposals = 0
     for step in range(n_steps):
-        # (a) Metropolis-Hastings move on h with Dirichlet(c * h) proposal
-        prop = rng.dirichlet(c * h)
-        proposals += 1
-        if np.all(prop > 0.0):
-            lp_prop = prior_logpdf(prop) + log_h_term(prop, n_i) + word_term
-            log_ratio = hastings_log_ratio(lp_prop, lp, h, prop, c)
-            if np.isfinite(log_ratio) and np.log(rng.random()) < log_ratio:
-                h = prop
-                lp = lp_prop
-                accepted += 1
-        # (b) exact Gibbs pass over the topic assignments
-        if doc.size:
-            zeta = _gibbs_zeta(doc, h, model.A, rng)
-            n_i = topic_counts(zeta, k)
-            word_term = float(np.log(model.A[doc, zeta]).sum())
-            lp = prior_logpdf(h) + log_h_term(h, n_i) + word_term
+        n_i = topic_counts(zeta, k)
+        u = rng.gamma(doc.size, 1.0 / z.sum()) if doc.size else 0.0
+        z = nid._draw_tilted(model.family, model.alpha, n_i, u, rng)
+        # with one topic h is 1 even where a tiny prior draw underflows z to 0
+        h = z / z.sum() if k > 1 else np.ones(1)
+        zeta = _gibbs_zeta(doc, h, model.A, rng)
         if step >= burn_in and (step - burn_in) % thin == 0:
-            states.append(ChainState(h=h.copy(), zeta=zeta.copy(),
-                                     log_post=lp, step=step))
-
-    rate = accepted / proposals if proposals else 0.0
-    warned = not 0.05 <= rate <= 0.95
-    if warned:
-        log.warning("MH acceptance rate %.3f outside [0.05, 0.95]; "
-                    "consider retuning proposal_concentration", rate)
-    return ChainResult(states=states, acceptance_rate=rate, warned=warned)
+            states.append(ChainState(h=h, zeta=zeta, step=step))
+    return ChainResult(states=states)
 
 
 def _gibbs_zeta(doc: np.ndarray, h: np.ndarray, A: np.ndarray,

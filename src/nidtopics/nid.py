@@ -237,6 +237,78 @@ def _draw_unnormalized(family: IDFamily, alpha: np.ndarray,
     raise UnsupportedFamilyError("no sampler for custom families (exponent-only spec)")
 
 
+def _gig(p, a, b, rng: np.random.Generator) -> np.ndarray:
+    """One GIG(p, a, b) draw per entry of the broadcast 1-d parameters.
+
+    GIG(p, a, b) has density proportional to x^(p-1) exp(-(a x + b / x) / 2)
+    with a, b > 0.  Devroye's rejection sampler (Stat. Comput. 2014): with
+    lam = |p| and omega = sqrt(a b), the log-density of y = log(x / mode
+    scale) is the concave ``log_kernel`` below, bounded by 0 between two
+    tangent points and by the tangent lines outside them.  Each pass redraws
+    only the entries still rejected.  Negative p uses GIG(p, a, b) =
+    1 / GIG(-p, b, a).
+    """
+    p, a, b = np.broadcast_arrays(np.asarray(p, dtype=float), a, b)
+    lam = np.abs(p)
+    omega = np.sqrt(a * b)
+    root = np.hypot(lam, omega) + lam
+    alpha = omega * omega / root          # sqrt(lam^2 + omega^2) - lam
+
+    def log_kernel(y, alpha, lam):        # 0 at its mode y = 0
+        return -alpha * (np.cosh(y) - 1.0) - lam * (np.expm1(y) - y)
+
+    at1, at_minus1 = -log_kernel(1.0, alpha, lam), -log_kernel(-1.0, alpha, lam)
+    with np.errstate(divide="ignore", over="ignore"):   # in branches np.where drops
+        t = np.where(at1 > 2.0, np.sqrt(2.0 / (alpha + lam)),
+                     np.where(at1 < 0.5, np.log(4.0 / (alpha + 2.0 * lam)), 1.0))
+        s = np.where(at_minus1 > 2.0, np.sqrt(4.0 / (alpha * math.cosh(1.0) + lam)),
+                     np.where(at_minus1 < 0.5, np.minimum(1.0 / lam, np.log1p(
+                         1.0 / alpha + np.sqrt(1.0 / alpha**2 + 2.0 / alpha))), 1.0))
+    eta = -log_kernel(t, alpha, lam)      # minus the log-density and its slope at t
+    zeta = alpha * np.sinh(t) + lam * np.expm1(t)
+    theta = -log_kernel(-s, alpha, lam)   # the same at -s, slope sign flipped
+    xi = alpha * np.sinh(s) - lam * np.expm1(-s)
+    r, pl = 1.0 / zeta, 1.0 / xi              # masses of the right and left tails
+    t_in, s_in = t - r * eta, s - pl * theta  # the hat is 1 on [-s_in, t_in]
+    q = t_in + s_in
+    hat = np.stack([alpha, lam, t, s, eta, zeta, theta, xi, t_in, s_in, q, r, pl])
+
+    y = np.empty(lam.size)
+    todo = np.arange(lam.size)
+    while todo.size:
+        alpha, lam, t, s, eta, zeta, theta, xi, t_in, s_in, q, r, pl = hat
+        u, v, w = rng.random((3, todo.size))
+        u *= q + r + pl
+        cand = np.where(u < q, q * v - s_in,
+                        np.where(u < q + r, t_in - r * np.log(v), pl * np.log(v) - s_in))
+        log_hat = np.where(cand > t_in, -eta - zeta * (cand - t),
+                           np.where(cand < -s_in, xi * (cand + s) - theta, 0.0))
+        ok = np.log(w) + log_hat <= log_kernel(cand, alpha, lam)
+        y[todo[ok]] = cand[ok]
+        todo, hat = todo[~ok], hat[:, ~ok]
+    # the mode scale of GIG(|p|, a, b) is root / a; of its inverse, b / root
+    ey = np.exp(y)
+    return np.where(p < 0.0, b / (root * ey), root * ey / a)
+
+
+def _draw_tilted(family: IDFamily, alpha: np.ndarray, n: np.ndarray, U: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """One unnormalized vector z with z_i drawn from its prior law tilted to
+    density proportional to z^{n_i} exp(-U z) f_i(z).
+
+    These are the laws of z given word-topic counts n and the latent U of the
+    normalized-random-measure augmentation; with n = 0 and U = 0 they are the
+    prior.  Defined for the families with closed-form marginals.
+    """
+    _require_closed_form(family)
+    if family.kind == GAMMA:
+        return rng.gamma(alpha + n, 1.0 / (family.param + U))
+    if U == 0.0:   # no words; stable:0.5 would need GIG with a = 0
+        return _draw_unnormalized(family, alpha, rng, 1)[0]
+    a = 2.0 * U + (family.param ** 2 if family.kind == INVGAUSS else 0.0)
+    return _gig(n - 0.5, a, alpha * alpha, rng)
+
+
 _MAX_RETRIES = 50
 
 
@@ -280,18 +352,18 @@ def _log_marginal(family: IDFamily, a: float, z: np.ndarray) -> np.ndarray:
     raise UnsupportedFamilyError("density needs a closed-form marginal")
 
 
-def _density_supported(family: IDFamily) -> bool:
-    if family.kind in (GAMMA, INVGAUSS):
-        return True
-    return family.kind == STABLE and abs(family.param - 0.5) < 1e-12
+def _require_closed_form(family: IDFamily) -> None:
+    if family.kind in (GAMMA, INVGAUSS) or (
+            family.kind == STABLE and abs(family.param - 0.5) < 1e-12):
+        return
+    raise UnsupportedFamilyError(
+        f"no closed-form marginals for {family.spec()}; "
+        "supported: gamma, invgauss, stable:0.5")
 
 
 def density(model: NIDModel, h) -> float:
     """Density of h (with respect to Lebesgue measure on the first k-1 coords)."""
-    if not _density_supported(model.family):
-        raise UnsupportedFamilyError(
-            f"no closed-form marginals for {model.family.spec()}; "
-            "supported: gamma, invgauss, stable:0.5")
+    _require_closed_form(model.family)
     h = check_simplex(h)
     if h.size != model.k:
         raise ValueError("dimension mismatch between h and model")

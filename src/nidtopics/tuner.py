@@ -4,9 +4,7 @@ Candidates are (family, alpha0) pairs.  Each candidate induces its centering
 weights, a model is learnt on the train split, and the winner minimizes
 Monte-Carlo perplexity on the validation split (ties broken by candidate
 order).  Searching family parameters rather than raw weight triples keeps
-every candidate a genuine simplex prior; a direct weight-triple mode is
-still available as an experimental path scored by the Frobenius residual of
-the deflated tensor, since arbitrary triples admit no likelihood.
+every candidate a genuine simplex prior.
 """
 from __future__ import annotations
 
@@ -19,7 +17,6 @@ from .corpus import Corpus
 from .decompose import LearnConfig, TopicModel, learn
 from .evaluate import perplexity
 from .families import IDFamily
-from .util import run_chunked
 from .weights import Weights, compute_weights
 
 
@@ -80,8 +77,7 @@ def split_corpus(corpus: Corpus, split: float, seed: int):
 def tune(corpus: Corpus, k: int,
          search_space: Sequence[Union[TuneCandidate, Tuple[IDFamily, float]]],
          split: float = 0.8, seed: int = 0, n_h_samples: int = 256,
-         config: Optional[LearnConfig] = None,
-         threads: int = 1) -> Tuple[TopicModel, TuneReport]:
+         config: Optional[LearnConfig] = None) -> Tuple[TopicModel, TuneReport]:
     """Fit every candidate on the train split, pick the best validation perplexity."""
     candidates = [c if isinstance(c, TuneCandidate) else TuneCandidate(*c)
                   for c in search_space]
@@ -102,7 +98,7 @@ def tune(corpus: Corpus, k: int,
         except Exception as exc:  # candidate failure is data, not a crash
             return TuneRow(cand, None, float("inf"), float("inf"), error=str(exc)), None
 
-    results = run_chunked(evaluate, candidates, threads)
+    results = [evaluate(c) for c in candidates]
     rows = [r for r, _ in results]
     models = [m for _, m in results]
     if all(r.error for r in rows):
@@ -111,42 +107,6 @@ def tune(corpus: Corpus, k: int,
         raise TunerError(f"every candidate failed: {details}")
     perps = np.array([r.val_perplexity for r in rows])
     best = int(np.argmin(perps))  # first minimum wins ties, i.e. search-space order
-    report = TuneReport(rows=rows, best_index=best,
-                        train_docs=train_idx, val_docs=val_idx)
-    return models[best], report
-
-
-def tune_direct(corpus: Corpus, k: int, triples: Sequence[Tuple[float, float, float]],
-                family: IDFamily, alpha0: float = 1.0, split: float = 0.8,
-                seed: int = 0, config: Optional[LearnConfig] = None,
-                threads: int = 1):
-    """Experimental: search raw weight triples by deflation residual.
-
-    The decomposition residual is the only meaningful score here, because an
-    arbitrary triple need not correspond to any simplex prior; the supplied
-    family/alpha0 are only carried into the returned model's metadata.
-    """
-    if not triples:
-        raise TunerError("empty weight-triple list")
-    train_idx, val_idx = split_corpus(corpus, split, seed)
-    train = corpus.subset(train_idx)
-
-    def evaluate(triple):
-        w = Weights(*[float(x) for x in triple])
-        try:
-            model = learn(train, family, k, alpha0, config=config, weights_override=w)
-            res = model.diagnostics.get("residual", float("inf"))
-            return TuneRow(TuneCandidate(family, alpha0), w, float("nan"), res), model
-        except Exception as exc:
-            return TuneRow(TuneCandidate(family, alpha0), w, float("nan"),
-                           float("inf"), error=str(exc)), None
-
-    results = run_chunked(evaluate, list(triples), threads)
-    rows = [r for r, _ in results]
-    models = [m for _, m in results]
-    if all(r.error for r in rows):
-        raise TunerError("every weight triple failed")
-    best = int(np.argmin([r.residual for r in rows]))
     report = TuneReport(rows=rows, best_index=best,
                         train_docs=train_idx, val_docs=val_idx)
     return models[best], report

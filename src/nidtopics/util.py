@@ -1,26 +1,8 @@
-"""Small shared helpers: deterministic parallel maps and column matching."""
+"""Small shared helpers: column matching."""
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, List, Sequence, TypeVar
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def run_chunked(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> List[R]:
-    """Map ``fn`` over ``items`` with results in input order.
-
-    With threads > 1 a thread pool is used; the reduction order is still the
-    input order, so results do not depend on scheduling.
-    """
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def match_columns(estimate: np.ndarray, truth: np.ndarray):

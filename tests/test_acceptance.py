@@ -259,7 +259,7 @@ def test_criterion_7_correlation_signs():
 
 
 def test_criterion_8_mcmc_conjugacy():
-    with criterion("8", "MH chain matches conjugate posterior"):
+    with criterion("8", "Gibbs chain matches conjugate posterior"):
         model = nt.TopicModel(A=np.eye(2), alpha=np.array([1.5, 2.5]),
                               family=nt.gamma_family(1.0))
         doc = np.array([0] * 30 + [1] * 20)  # 50 words, topics identified

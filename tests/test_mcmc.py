@@ -1,3 +1,4 @@
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +7,8 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
 from nidtopics import (
-    TopicModel, gamma_family, invgauss_family, log_posterior, posterior_mean_h,
-    run_chain, stable_family,
+    NIDModel, TopicModel, density, gamma_family, invgauss_family, log_posterior,
+    parse_family, posterior_mean_h, run_chain, stable_family,
 )
 from nidtopics.mcmc import dirichlet_logpdf, topic_counts
 
@@ -78,7 +79,6 @@ def test_chain_matches_conjugate_posterior():
     assert abs(h1.mean() - analytic_mean) < 0.02
     ks = kstest(h1[::10], beta_dist(post[0], post[1]).cdf).statistic
     assert ks < 0.06
-    assert 0.05 <= res.acceptance_rate <= 0.95
 
 
 def test_empty_document_samples_prior():
@@ -88,36 +88,6 @@ def test_empty_document_samples_prior():
     mean = posterior_mean_h(res)
     prior_mean = model.alpha / model.alpha.sum()
     assert np.max(np.abs(mean - prior_mean)) < 0.03
-
-
-def test_huge_proposal_concentration_degenerates():
-    model = _two_topic_model()
-    res = run_chain(_doc(10, 10), model, n_steps=2_000, burn_in=200,
-                    proposal_concentration=1e8, seed=3)
-    assert res.acceptance_rate > 0.95
-    assert res.warned
-
-
-def test_hastings_ratio_decomposes_into_posterior_plus_correction():
-    from nidtopics.mcmc import hastings_log_ratio
-    h = np.array([0.3, 0.7])
-    g = np.array([0.5, 0.5])
-    lp_h, lp_g, c = -4.2, -3.1, 37.0
-    ratio = hastings_log_ratio(lp_g, lp_h, h, g, c)
-    correction = dirichlet_logpdf(h, c * g) - dirichlet_logpdf(g, c * h)
-    # subtracting the asymmetry correction leaves exactly the posterior ratio,
-    # which is the whole ratio under a symmetric proposal
-    assert ratio - correction == pytest.approx(lp_g - lp_h, abs=1e-12)
-
-
-def test_hastings_ratio_antisymmetric():
-    from nidtopics.mcmc import hastings_log_ratio
-    h = np.array([0.2, 0.8])
-    g = np.array([0.6, 0.4])
-    lp_h, lp_g, c = -1.0, -2.5, 12.0
-    fwd = hastings_log_ratio(lp_g, lp_h, h, g, c)
-    bwd = hastings_log_ratio(lp_h, lp_g, g, h, c)
-    assert fwd == pytest.approx(-bwd, abs=1e-12)
 
 
 def test_chain_deterministic_given_seed():
@@ -149,11 +119,49 @@ def test_run_chain_validation():
 
 
 def test_quadrature_prior_chain_runs():
-    # inverse Gaussian prior goes through the cached quadrature density
+    # the chain draws GIG tilted laws; log_posterior's prior is the quadrature
     model = _two_topic_model(family=invgauss_family(2.0))
-    res = run_chain(_doc(8, 12), model, n_steps=400, burn_in=100, seed=5)
+    doc = _doc(8, 12)
+    res = run_chain(doc, model, n_steps=400, burn_in=100, seed=5)
     assert len(res.states) == 300
-    assert np.isfinite(res.states[-1].log_post)
+    state = res.states[-1]
+    assert np.isfinite(log_posterior(state.h, state.zeta, doc, model))
+
+
+@pytest.mark.parametrize("counts", [(8, 12), (0, 0)])
+@pytest.mark.parametrize("family", [invgauss_family(2.0), stable_family(0.5)],
+                         ids=["invgauss:2", "stable:0.5"])
+def test_chain_matches_quadrature_posterior(family, counts):
+    # with A = I the posterior of h_1 is density(h) h_1^n_1 h_2^n_2 up to a
+    # constant; (0, 0) is the empty document, whose posterior is the prior
+    model = _two_topic_model(family=family)
+    res = run_chain(_doc(*counts), model, n_steps=10_000, burn_in=1_000, seed=3)
+    h1 = np.array([s.h[0] for s in res.states])
+    # midpoint rule in t, where h_1 = (1 - cos(pi t)) / 2: the prior density
+    # can blow up like h^(-1/2) at the edges, the integrand in t stays bounded
+    t = np.linspace(0.0, 1.0, 401)
+    mid = 0.5 * (t[1:] + t[:-1])
+    x = 0.5 * (1.0 - np.cos(np.pi * mid))
+    prior = NIDModel(family, model.alpha)
+    post = np.array([density(prior, [v, 1.0 - v]) for v in x])
+    post *= x ** counts[0] * (1.0 - x) ** counts[1] * np.sin(np.pi * mid)
+    cdf = np.concatenate([[0.0], np.cumsum(post)])
+    cdf /= cdf[-1]
+    nodes = 0.5 * (1.0 - np.cos(np.pi * t))
+    ks = kstest(h1, lambda v: np.interp(v, nodes, cdf)).statistic
+    assert ks < 0.02
+
+
+@pytest.mark.parametrize("spec", ["gamma:1", "invgauss:4", "stable:0.5"])
+def test_one_topic_chain_keeps_h_at_one(spec, caplog):
+    model = TopicModel(A=np.full((3, 1), 1.0 / 3.0), alpha=np.array([0.7]),
+                       family=parse_family(spec))
+    with caplog.at_level(logging.WARNING):
+        res = run_chain(np.array([0, 2, 2, 1]), model, n_steps=60, burn_in=10, seed=8)
+    assert len(res.states) == 50
+    assert all(np.array_equal(s.h, [1.0]) for s in res.states)
+    assert res.acceptance_rate == 1.0
+    assert not caplog.records
 
 
 def test_unsupported_prior_family_raises():

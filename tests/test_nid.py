@@ -12,7 +12,7 @@ from nidtopics import (
     moment_vector, psi, psi_deriv, sample, stable_family,
 )
 from nidtopics.families import DomainError
-from nidtopics.nid import UnsupportedFamilyError, moment_result
+from nidtopics.nid import UnsupportedFamilyError, _gig, moment_result
 
 from helpers import dirichlet_moment
 
@@ -296,6 +296,16 @@ def test_custom_family_has_no_sampler():
                         lambda u: -(1 + u) ** -2.0, lambda u: 2 * (1 + u) ** -3.0)
     with pytest.raises(UnsupportedFamilyError):
         sample(NIDModel(fam, np.array([1.0, 1.0])), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("p", [-0.5, 0.5, 1.5, 49.5])
+@pytest.mark.parametrize("a, b", [(2.0, 3.0), (16.0, 1e-4)])
+def test_gig_sampler_matches_scipy_geninvgauss(p, a, b):
+    # a = 16, b = 1e-4 is the small omega = sqrt(a b) corner, close to a gamma law
+    from scipy.stats import geninvgauss, kstest
+    x = _gig(np.full(20_000, p), a, b, np.random.default_rng(7))
+    ref = geninvgauss(p, math.sqrt(a * b), scale=math.sqrt(b / a))
+    assert kstest(x, ref.cdf).pvalue > 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from nidtopics import (
     SynthConfig, TopicModel, TuneCandidate, gamma_family, generate,
-    invgauss_family, perplexity, tune, tune_direct,
+    invgauss_family, perplexity, tune,
 )
 from nidtopics.tuner import TunerError, split_corpus
 
@@ -100,23 +100,3 @@ def test_empty_search_space():
     corpus = _corpus(gamma_family(1.0), seed=6, n_docs=40)
     with pytest.raises(TunerError):
         tune(corpus, 3, [], seed=0)
-
-
-def test_direct_weight_mode_scores_residual():
-    corpus = _corpus(gamma_family(1.0), seed=7)
-    from nidtopics import compute_weights
-    good = compute_weights(gamma_family(1.0), 1.0)
-    triples = [(good.v, good.v1, good.v2), (good.v, -good.v1, -good.v2)]
-    model, report = tune_direct(corpus, 3, triples, gamma_family(1.0), seed=1)
-    assert report.best_index == 0  # correct weights deflate better
-    assert report.rows[0].residual < report.rows[1].residual
-
-
-def test_threaded_tune_matches_serial():
-    corpus = _corpus(gamma_family(1.0), seed=8, n_docs=1200)
-    space = [(gamma_family(1.0), 1.0), (invgauss_family(2.0), 1.0)]
-    _, r1 = tune(corpus, 3, space, seed=2, threads=1)
-    _, r2 = tune(corpus, 3, space, seed=2, threads=2)
-    assert r1.best_index == r2.best_index
-    for a, b in zip(r1.rows, r2.rows):
-        assert a.val_perplexity == b.val_perplexity
