@@ -24,6 +24,7 @@ from .synth import TopicAssignment
 
 MODEL_TAG = "nid-topic-model"
 MODEL_VERSION = 1
+_WRITE_ROWS = 1 << 14  # triples formatted per write; bounds the Python ints held at once
 
 
 class FormatError(ValueError):
@@ -58,12 +59,33 @@ def read_uci(path) -> Corpus:
     if len(lines) - 3 < nnz:
         raise FormatError(f"{path}: header promises {nnz} triples, "
                           f"found {len(lines) - 3}")
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    data = np.empty(nnz, dtype=np.int64)
-    for i in range(nnz):
+    body = lines[3:3 + nnz]
+    triples = None
+    if nnz:
+        # one C-parsed pass; it accepts a subset of what int() does, with the
+        # same values, and anything it rejects goes to the line-by-line parse
+        try:
+            triples = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if triples is None or triples.shape != (nnz, 3) or not _triples_in_range(triples, n_docs, d):
+        triples = _parse_triples(path, body, n_docs, d)
+    doc, word, count = triples.T
+    mat = sp.csr_matrix((count, (doc - 1, word - 1)), shape=(n_docs, d), dtype=np.int64)
+    return Corpus(mat)
+
+
+def _triples_in_range(triples: np.ndarray, n_docs: int, d: int) -> bool:
+    doc, word, count = triples.T
+    return bool(np.all((doc >= 1) & (doc <= n_docs) & (word >= 1) & (word <= d) & (count > 0)))
+
+
+def _parse_triples(path: Path, body: Sequence[str], n_docs: int, d: int) -> np.ndarray:
+    """Line-by-line parse; raises FormatError at the first malformed triple."""
+    triples = np.empty((len(body), 3), dtype=np.int64)
+    for i, line in enumerate(body):
         lineno = i + 4
-        parts = lines[i + 3].split()
+        parts = line.split()
         if len(parts) != 3:
             raise FormatError(f"{path}:{lineno}: expected 'docID wordID count'")
         try:
@@ -77,18 +99,19 @@ def read_uci(path) -> Corpus:
                               "(ids are 1-indexed on disk)")
         if count <= 0:
             raise FormatError(f"{path}:{lineno}: count must be positive")
-        rows[i], cols[i], data[i] = doc - 1, word - 1, count
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(n_docs, d), dtype=np.int64)
-    return Corpus(mat)
+        triples[i] = doc, word, count
+    return triples
 
 
 def write_uci(corpus: Corpus, path) -> None:
     mat = corpus.counts.tocoo()
     order = np.lexsort((mat.col, mat.row))
+    triples = np.column_stack((mat.row[order] + 1, mat.col[order] + 1, mat.data[order]))
     with open(path, "w") as fh:
         fh.write(f"{corpus.n_docs}\n{corpus.d}\n{mat.nnz}\n")
-        for i in order:
-            fh.write(f"{mat.row[i] + 1} {mat.col[i] + 1} {mat.data[i]}\n")
+        for start in range(0, mat.nnz, _WRITE_ROWS):
+            block = triples[start:start + _WRITE_ROWS]
+            fh.write(("%d %d %d\n" * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_vocab(path) -> List[str]:

@@ -318,13 +318,13 @@ def sample(model: NIDModel, rng: np.random.Generator, size: int | None = None) -
     z = _draw_unnormalized(model.family, model.alpha, rng, n)
     bad = ~np.isfinite(z) | (z <= 0.0)
     tries = 0
-    alpha_full = np.broadcast_to(model.alpha, z.shape)
-    while np.any(bad):
+    while bad.any():
         tries += 1
         if tries > _MAX_RETRIES:
             raise SamplerError(f"{bad.sum()} draws stayed nonpositive/nonfinite "
                                f"after {_MAX_RETRIES} retries")
         idx = np.nonzero(bad)
+        alpha_full = np.broadcast_to(model.alpha, z.shape)
         redraw = _draw_unnormalized(model.family, alpha_full[idx], rng, 1)
         z[idx] = redraw[0]
         bad = ~np.isfinite(z) | (z <= 0.0)

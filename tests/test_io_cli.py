@@ -77,6 +77,64 @@ def test_uci_rejects_out_of_range_doc(tmp_path):
         read_uci(p)
 
 
+def _uci_with_bad_row(bad, n_good=150):
+    """Header for 4 docs x 6 words, n_good valid rows, then ``bad``, then
+    one more valid row; ``bad`` sits on line n_good + 4."""
+    good = [f"{1 + i % 4} {1 + i % 6} {1 + i % 3}" for i in range(n_good)]
+    rows = good + [bad, "2 2 2"]
+    return f"4\n6\n{len(rows)}\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("1 2", "expected 'docID wordID count'"),
+    ("1 2 3 4", "expected 'docID wordID count'"),
+    ("", "expected 'docID wordID count'"),
+    ("1 2 3 # note", "expected 'docID wordID count'"),
+    ("1 two 3", "non-integer field"),
+    ("1 2 3.0", "non-integer field"),
+    ("5 2 1", "docID 5 outside 1..4"),
+    ("0 2 1", "docID 0 outside 1..4"),
+    ("1 7 1", "wordID 7 outside 1..6 (ids are 1-indexed on disk)"),
+    ("1 2 0", "count must be positive"),
+    ("1 2 -3", "count must be positive"),
+])
+def test_uci_reports_the_line_of_a_bad_row_after_good_ones(tmp_path, bad, message):
+    p = tmp_path / "bad.uci"
+    p.write_text(_uci_with_bad_row(bad))
+    with pytest.raises(FormatError) as exc:
+        read_uci(p)
+    assert str(exc.value) == f"{p}:154: {message}"
+
+
+def test_uci_first_bad_row_wins(tmp_path):
+    p = tmp_path / "bad.uci"
+    p.write_text("2\n3\n4\n1 1 1\n1 9 1\n1 1\n3 1 1\n")
+    with pytest.raises(FormatError) as exc:
+        read_uci(p)
+    assert ":5: wordID 9" in str(exc.value)
+
+
+def test_uci_ignores_lines_after_the_promised_triples(tmp_path):
+    p = tmp_path / "c.uci"
+    p.write_text("2\n3\n2\n1 1 2\n2 3 1\nnot a triple\n9 9 9\n")
+    corpus = read_uci(p)
+    assert corpus.counts.toarray().tolist() == [[2, 0, 0], [0, 0, 1]]
+
+
+def test_uci_reader_accepts_what_int_accepts(tmp_path):
+    p = tmp_path / "c.uci"
+    p.write_text("2\n3\n3\n 1\t1  2 \n+1 3 1_0\n02 2 4\n")
+    corpus = read_uci(p)
+    assert corpus.counts.toarray().tolist() == [[2, 0, 10], [0, 4, 0]]
+
+
+def test_write_uci_bytes(tmp_path):
+    corpus = corpus_from_docs([{2: 1, 0: 12}, {}, {3: 2, 1: 1}], d=4)
+    p = tmp_path / "c.uci"
+    write_uci(corpus, p)
+    assert p.read_bytes() == b"3\n4\n4\n1 1 12\n1 3 1\n3 2 1\n3 4 2\n"
+
+
 # ---------------------------------------------------------------------------
 # model serialization
 

@@ -12,7 +12,8 @@ from nidtopics import (
     moment_vector, psi, psi_deriv, sample, stable_family,
 )
 from nidtopics.families import DomainError
-from nidtopics.nid import UnsupportedFamilyError, _gig, moment_result
+from nidtopics import nid
+from nidtopics.nid import SamplerError, UnsupportedFamilyError, _gig, moment_result
 
 from helpers import dirichlet_moment
 
@@ -267,6 +268,27 @@ def test_sample_deterministic_given_seed():
     a = sample(model, np.random.default_rng(7), size=100)
     b = sample(model, np.random.default_rng(7), size=100)
     assert np.array_equal(a, b)
+
+
+def test_sample_redraws_only_bad_coordinates_with_their_alpha(monkeypatch):
+    # a zero or non-finite coordinate is redrawn alone, with its own alpha
+    calls = []
+    first = np.array([[2.0, 0.0, np.inf], [1.0, 3.0, 4.0]])
+
+    def fake(family, alpha, rng, n):
+        calls.append(np.array(alpha))
+        return first.copy() if len(calls) == 1 else np.full((n, alpha.size), 5.0)
+
+    monkeypatch.setattr(nid, "_draw_unnormalized", fake)
+    model = NIDModel(gamma_family(1.0), np.array([0.5, 1.5, 2.5]))
+    h = sample(model, np.random.default_rng(0), size=2)
+    assert np.array_equal(calls[1], [1.5, 2.5])
+    assert np.allclose(h, [[2 / 12, 5 / 12, 5 / 12], [1 / 8, 3 / 8, 4 / 8]])
+
+    monkeypatch.setattr(nid, "_draw_unnormalized",
+                        lambda family, alpha, rng, n: np.zeros((n, alpha.size)))
+    with pytest.raises(SamplerError):
+        sample(model, np.random.default_rng(0))
 
 
 def test_small_shape_invgauss_concentrates_on_vertices():

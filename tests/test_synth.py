@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nidtopics import (
-    NIDModel, SynthConfig, TopicModel, accumulate, gamma_family, generate,
-    invgauss_family, moment_matrix, moment_vector,
+    Corpus, NIDModel, SynthConfig, TopicAssignment, TopicModel, accumulate, gamma_family,
+    generate, invgauss_family, moment_matrix, moment_vector, sample, synth,
 )
 
 
@@ -104,3 +105,91 @@ def test_latents_match_counts():
         assert a.zeta.size == lengths[i] == 6
         assert a.h.size == 3
         assert a.h.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _reference_generate(model, cfg):
+    """Dense-comparison generator: a word is the count of its topic's
+    cumulative entries <= u, found by comparing the whole column."""
+    d, k = model.d, model.k
+    a_cum = np.cumsum(model.A, axis=0)
+    a_cum[-1, :] = 1.0
+    prior = None if k == 1 else NIDModel(model.family, model.alpha)
+    indptr, indices, data, assignments = [0], [], [], []
+    for i in range(cfg.n_docs):
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
+        if k == 1:
+            h = np.array([1.0])
+            zeta = np.zeros(cfg.doc_len, dtype=int)
+        else:
+            h = sample(prior, rng)
+            h_cum = np.cumsum(h)
+            h_cum[-1] = 1.0
+            zeta = np.searchsorted(h_cum, rng.random(cfg.doc_len), side="right")
+        u = rng.random(cfg.doc_len)
+        words = (a_cum[:, zeta] <= u[None, :]).sum(axis=0)
+        counts = np.bincount(words, minlength=d)
+        nz = np.nonzero(counts)[0]
+        indices.append(nz)
+        data.append(counts[nz])
+        indptr.append(indptr[-1] + nz.size)
+        assignments.append(TopicAssignment(h=h, zeta=zeta))
+    mat = sp.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), np.array(indptr)),
+        shape=(cfg.n_docs, d))
+    return Corpus(mat), assignments
+
+
+def _with_zeros():
+    # exact zeros repeat entries of the cumsum, so the lookup meets ties
+    A = _random_model(14, 4, seed=11).A
+    A[[0, 3, 4, 9, 13], :] = 0.0
+    A[6, 2] = 0.0
+    return TopicModel(A=A / A.sum(axis=0), alpha=np.array([0.7, 1.2, 0.4, 2.0]),
+                      family=invgauss_family(4.0))
+
+
+def _overshoot():
+    # column 1 sums to 1 + 5e-9 and its cumsum passes 1 at row 1 of 8
+    A = _random_model(8, 3, seed=12).A
+    A[:, 1] = [0.25, 0.75 + 5e-9, 0, 0, 0, 0, 0, 0]
+    return TopicModel(A=A, alpha=np.array([1.0, 0.5, 1.5]), family=gamma_family(2.0))
+
+
+def _negative_entry():
+    # entries down to -1e-12 are accepted, and make the cumsum dip
+    A = _random_model(10, 3, seed=13).A
+    A[:, 0] = [0.5, -1e-13, 0.5 + 1e-13, 0, 0, 0, 0, 0, 0, 0]
+    return TopicModel(A=A, alpha=np.array([0.6, 0.9, 1.3]), family=gamma_family(1.0))
+
+
+def _single_word_docs():
+    # h near a vertex: most documents repeat one word, as does the next one
+    return TopicModel(A=np.eye(2), alpha=np.array([0.05, 0.05]), family=gamma_family(1.0))
+
+
+def _one_topic():
+    col = np.random.default_rng(14).dirichlet(np.ones(9) * 0.5)
+    return TopicModel(A=col[:, None], alpha=np.array([1.0]), family=gamma_family(1.0))
+
+
+@pytest.mark.parametrize("make", [
+    _with_zeros, _overshoot, _negative_entry, _single_word_docs, _one_topic,
+    lambda: _random_model(40, 5, seed=15),
+    lambda: _random_model(40, 5, seed=16, family=invgauss_family(0.5)),
+])
+@pytest.mark.parametrize("block", [7, None])
+def test_generate_matches_dense_reference(make, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(synth, "_BLOCK", block)
+    model = make()
+    cfg = SynthConfig(30, 9, seed=17)
+    got, got_latent = generate(model, cfg)
+    want, want_latent = _reference_generate(model, cfg)
+    assert got.counts.shape == want.counts.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got.counts, name), getattr(want.counts, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert len(got_latent) == len(want_latent)
+    for x, y in zip(got_latent, want_latent):
+        assert x.h.dtype == y.h.dtype and np.array_equal(x.h, y.h)
+        assert x.zeta.dtype == y.zeta.dtype and np.array_equal(x.zeta, y.zeta)
