@@ -14,7 +14,7 @@ from .families import (
 from .mcmc import ChainResult, ChainState, log_posterior, posterior_mean_h, run_chain
 from .moments import MomentSet, accumulate, build_m2, build_whitened_m3, exact_moment_set
 from .nid import (
-    NIDModel, bell_complete, centered_moment_matrix, centered_moment_tensor,
+    NIDModel, centered_moment_matrix, centered_moment_tensor,
     correlation_profile, density, ig_mean_correlation_profile, moment,
     moment_matrix, moment_tensor, moment_vector, sample,
 )
@@ -32,7 +32,7 @@ __all__ = [
     "parse_family", "psi", "psi_deriv", "stable_family",
     "ChainResult", "ChainState", "log_posterior", "posterior_mean_h", "run_chain",
     "MomentSet", "accumulate", "build_m2", "build_whitened_m3", "exact_moment_set",
-    "NIDModel", "bell_complete", "centered_moment_matrix", "centered_moment_tensor",
+    "NIDModel", "centered_moment_matrix", "centered_moment_tensor",
     "correlation_profile", "density", "ig_mean_correlation_profile", "moment",
     "moment_matrix", "moment_tensor", "moment_vector", "sample",
     "SynthConfig", "TopicAssignment", "generate",

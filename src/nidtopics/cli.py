@@ -3,8 +3,7 @@
 Subcommands: generate, weights, learn, eval, tune, infer, correlate.
 Every command takes --seed (all randomness flows from it, so fixed-seed runs
 are byte-identical) and --quiet.  ``infer`` draws each document's posterior
-with the exact augmented Gibbs sampler of ``mcmc``; its
---proposal-concentration is a deprecated no-op kept for one release.
+with the exact augmented Gibbs sampler of ``mcmc``.
 Exit codes: 0 success, 1 usage error, 2 runtime error (message names the
 failing stage).
 """
@@ -99,9 +98,6 @@ def build_parser() -> _Parser:
     i.add_argument("--steps", type=int, required=True)
     i.add_argument("--burn", type=int, required=True)
     i.add_argument("--thin", type=int, default=1)
-    i.add_argument("--proposal-concentration", type=float, default=None,
-                   help="deprecated and ignored: the Gibbs sampler has no proposal "
-                        "to tune; the flag will be removed in the next release")
     i.add_argument("--out", default=None)
 
     c = sub.add_parser("correlate", help="correlation-sign sweep over a family parameter")

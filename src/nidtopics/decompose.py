@@ -22,6 +22,7 @@ from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh
 from .corpus import Corpus
 from .families import IDFamily
 from .moments import MomentSet, accumulate, build_m2, build_whitened_m3
+from .nid import NIDModel, moment_matrix
 from .weights import Weights, compute_weights
 
 
@@ -302,19 +303,10 @@ def _fit_alpha0(family: IDFamily, hhat: np.ndarray, kappas: np.ndarray) -> float
     For candidate a0 the model predicts kappa_j = E[h_j^2] + v E[h_j]^2 with
     alpha = a0 * hhat; minimize the squared mismatch over log a0.
     """
-    from .nid import NIDModel, moment
-
-    k = hhat.size
-
     def loss(log_a0: float) -> float:
         a0 = float(np.exp(log_a0))
-        model = NIDModel(family, a0 * hhat)
         w = compute_weights(family, a0)
-        pred = np.empty(k)
-        for j in range(k):
-            r = np.zeros(k, dtype=int)
-            r[j] = 2
-            pred[j] = moment(model, r) + w.v * hhat[j] ** 2
+        pred = np.diag(moment_matrix(NIDModel(family, a0 * hhat))) + w.v * hhat**2
         return float(np.sum((pred - kappas) ** 2))
 
     res = minimize_scalar(loss, bounds=(np.log(1e-2), np.log(1e3)), method="bounded",

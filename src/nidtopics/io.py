@@ -66,7 +66,7 @@ def read_uci(path) -> Corpus:
         # same values, and anything it rejects goes to the line-by-line parse
         try:
             triples = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
-        except ValueError:
+        except (ValueError, OverflowError):
             pass
     if triples is None or triples.shape != (nnz, 3) or not _triples_in_range(triples, n_docs, d):
         triples = _parse_triples(path, body, n_docs, d)
@@ -99,6 +99,8 @@ def _parse_triples(path: Path, body: Sequence[str], n_docs: int, d: int) -> np.n
                               "(ids are 1-indexed on disk)")
         if count <= 0:
             raise FormatError(f"{path}:{lineno}: count must be positive")
+        if count >= 2**63:
+            raise FormatError(f"{path}:{lineno}: count must be below 2**63")
         triples[i] = doc, word, count
     return triples
 

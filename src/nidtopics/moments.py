@@ -25,6 +25,7 @@ from scipy.linalg import khatri_rao
 from scipy.sparse.linalg import LinearOperator
 
 from .corpus import Corpus
+from .nid import moment_matrix, moment_tensor, moment_vector
 from .weights import Weights
 
 _CHUNK = 1024
@@ -155,8 +156,6 @@ def exact_moment_set(model, A: np.ndarray) -> MomentSet:
     Useful as an oracle: the learning pipeline run on this set must recover
     the columns of ``A`` up to permutation.
     """
-    from .nid import moment_matrix, moment_tensor, moment_vector
-
     A = np.asarray(A, dtype=float)
     m1h = moment_vector(model)
     m2h = moment_matrix(model)

@@ -4,30 +4,34 @@ A model is a shared base exponent plus a positive concentration vector
 ``alpha``; coordinate i of the unnormalized vector z has exponent
 ``alpha[i] * psi``.  The simplex vector is h = z / sum(z).
 
-Moments of h up to third order are computed exactly by univariate
-quadrature: E[prod h_i^{r_i}] is an integral of exp(-alpha0 * psi(u))
-against a product of complete Bell polynomials in the derivatives of the
-per-coordinate exponents.  Sampling uses exact per-family samplers, and the
-density (for the three families that have closed-form marginals) comes from
-the one-dimensional mixing integral over the common scale.
+Moments of h up to third order are exact: E[prod h_i^{r_i}] is an integral
+of exp(-alpha0 * psi(u)) against a product of complete Bell polynomials in
+the derivatives of the per-coordinate exponents alpha_i * psi.  Because the
+exponents share psi, that product multiplies out into the omega integrals
+of ``weights``; with n = sum(r),
+
+    (n-1)! E[prod h_i^{r_i}] = omega(n-1,1,n-1) prod alpha^r
+                               - omega(n-1,2,n-2) sum_j C(r_j,2) alpha^r / alpha_j
+                               + omega(2,3,0) sum_j [r_j = 3] alpha_j,
+
+so E[h], E[h⊗h] and E[h⊗h⊗h] take six one-dimensional quadratures in all,
+whatever k.  A Laplace exponent has psi', psi''' > 0 > psi'', so every term
+is nonnegative and nothing cancels.  Sampling uses exact per-family
+samplers, and the density (for the three families that have closed-form
+marginals) comes from the one-dimensional mixing integral over the common
+scale.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
 
-from .families import (
-    CUSTOM, GAMMA, INVGAUSS, STABLE,
-    DomainError, IDFamily, psi, psi_deriv, stable_constant,
-)
-from .quadrature import QuadResult, integrate_semi_infinite
-
-# exp(-a0 * psi) below this is treated as zero when choosing the cutoff
-_LOG_FLOOR = math.log(1e-30)
+from .families import GAMMA, INVGAUSS, STABLE, DomainError, IDFamily, stable_constant
+from .quadrature import integrate_semi_infinite
+from .weights import _LOG_FLOOR, omega
 
 
 class SamplerError(RuntimeError):
@@ -71,35 +75,6 @@ def check_simplex(h, atol: float = 1e-12) -> np.ndarray:
     return h
 
 
-def bell_complete(x: Sequence[float], order: int):
-    """Complete Bell polynomial Y_order of the leading entries of ``x``.
-
-    Satisfies d^r/du^r exp(g(u)) = exp(g) * Y_r(g', g'', g''').
-    """
-    if order not in (1, 2, 3):
-        raise ValueError(f"order must be 1, 2 or 3, got {order}")
-    if len(x) < order:
-        raise ValueError("need at least `order` arguments")
-    if order == 1:
-        return x[0]
-    if order == 2:
-        return x[0] * x[0] + x[1]
-    return x[0] ** 3 + 3.0 * x[0] * x[1] + x[2]
-
-
-def tail_cutoff(family: IDFamily, alpha0: float) -> float | None:
-    """Point past which exp(-alpha0 * psi) is negligible, or None if unreached."""
-    target = -_LOG_FLOOR / alpha0
-    u = 1.0
-    for _ in range(60):
-        if psi(family, u) >= target:
-            return float(u)
-        u *= 4.0
-        if u > 1e15:
-            break
-    return None
-
-
 def _validate_multi_index(model: NIDModel, r) -> np.ndarray:
     r = np.asarray(r)
     if r.shape != (model.k,) or not np.issubdtype(r.dtype, np.integer):
@@ -115,82 +90,50 @@ def _validate_multi_index(model: NIDModel, r) -> np.ndarray:
     return r
 
 
-def moment_result(model: NIDModel, r) -> QuadResult:
-    """Exact moment E[prod_i h_i^{r_i}] with its quadrature error estimate."""
-    r = _validate_multi_index(model, r)
-    order = int(r.sum())
-    family, alpha, alpha0 = model.family, model.alpha, model.alpha0
-    active = [(int(j), int(r[j])) for j in np.nonzero(r)[0]]
-    max_rj = max(rj for _, rj in active)
-    norm = math.gamma(order)
-
-    def integrand(u):
-        out = np.exp(-alpha0 * psi(family, u)) * u ** (order - 1) / norm
-        d1 = psi_deriv(family, u, 1)
-        d2 = psi_deriv(family, u, 2) if max_rj >= 2 else None
-        d3 = psi_deriv(family, u, 3) if max_rj >= 3 else None
-        for j, rj in active:
-            a = alpha[j]
-            if rj == 1:
-                b = a * d1
-            elif rj == 2:
-                b = bell_complete((a * d1, -a * d2), 2)
-            else:
-                b = bell_complete((a * d1, -a * d2, a * d3), 3)
-            out = out * b
-        return out
-
-    return integrate_semi_infinite(
-        integrand,
-        u_max=tail_cutoff(family, alpha0),
-        singular_origin=family.singular_at_zero,
-    )
+def _omega(model: NIDModel, m: int, n: int, p: int) -> float:
+    return omega(model.family, model.alpha0, (m, n, p))
 
 
 def moment(model: NIDModel, r) -> float:
-    return moment_result(model, r).value
+    """Exact moment E[prod_i h_i^{r_i}] of order 1..3 (module docstring)."""
+    r = _validate_multi_index(model, r)
+    n = int(r.sum())
+    alpha = model.alpha
+    prod = float(np.prod(alpha**r))
+    out = _omega(model, n - 1, 1, n - 1) * prod
+    j = int(np.argmax(r))      # the only index that can have r_j >= 2
+    if r[j] >= 2:
+        out -= _omega(model, n - 1, 2, n - 2) * math.comb(int(r[j]), 2) * prod / alpha[j]
+    if r[j] == 3:
+        out += _omega(model, 2, 3, 0) * alpha[j]
+    return out / math.factorial(n - 1)
 
 
 def moment_vector(model: NIDModel) -> np.ndarray:
-    """E[h]; equals alpha / alpha0 for every shared-exponent model."""
-    k = model.k
-    out = np.empty(k)
-    for i in range(k):
-        r = np.zeros(k, dtype=int)
-        r[i] = 1
-        out[i] = moment(model, r)
-    return out
+    """E[h] = omega(0,1,0) alpha, which is alpha / alpha0 for every family."""
+    return _omega(model, 0, 1, 0) * model.alpha
 
 
 def moment_matrix(model: NIDModel) -> np.ndarray:
-    """E[h ⊗ h] by quadrature."""
-    k = model.k
-    out = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            r = np.zeros(k, dtype=int)
-            r[i] += 1
-            r[j] += 1
-            out[i, j] = out[j, i] = moment(model, r)
-    return out
+    """E[h ⊗ h] = omega(1,1,1) alpha alpha^T - omega(1,2,0) diag(alpha)."""
+    alpha = model.alpha
+    return (_omega(model, 1, 1, 1) * np.outer(alpha, alpha)
+            - _omega(model, 1, 2, 0) * np.diag(alpha))
 
 
 def moment_tensor(model: NIDModel) -> np.ndarray:
-    """E[h ⊗ h ⊗ h] by quadrature (entries cached per index multiset)."""
-    k = model.k
-    cache: dict[tuple, float] = {}
-    out = np.empty((k, k, k))
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                key = tuple(sorted((i, j, l)))
-                if key not in cache:
-                    r = np.zeros(k, dtype=int)
-                    for idx in key:
-                        r[idx] += 1
-                    cache[key] = moment(model, r)
-                out[i, j, l] = cache[key]
-    return out
+    """E[h ⊗ h ⊗ h] = (omega(2,1,2) alpha⊗alpha⊗alpha - omega(2,2,1) P
+    + omega(2,3,0) superdiag(alpha)) / 2, where P holds alpha_i alpha_l at
+    each of (i, i, l), (i, l, i) and (l, i, i)."""
+    alpha = model.alpha
+    idx = np.arange(model.k)
+    out = _omega(model, 2, 1, 2) * np.einsum("i,j,l->ijl", alpha, alpha, alpha)
+    pair = _omega(model, 2, 2, 1) * np.outer(alpha, alpha)
+    out[idx, idx, :] -= pair
+    out[idx, :, idx] -= pair
+    out[:, idx, idx] -= pair
+    out[idx, idx, idx] += _omega(model, 2, 3, 0) * alpha
+    return 0.5 * out
 
 
 def centered_moment_matrix(model: NIDModel, weights) -> np.ndarray:

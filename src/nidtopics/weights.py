@@ -22,20 +22,31 @@ which gives
 Closed forms for reference: the gamma family gives v = -a0/(a0+1),
 v1 = -a0/(a0+2), v2 = 2 a0^2 / ((a0+2)(a0+1)); the 1/2-stable family gives
 (v, v1, v2) = (-1/2, -1/4, 1/8) for every a0.
+
+The same integrals give every exact moment of h of order n <= 3 (``nid``):
+
+    (n-1)! E[prod h_i^{r_i}] = omega(n-1,1,n-1) prod alpha^r
+                               - omega(n-1,2,n-2) sum_j C(r_j,2) alpha^r / alpha_j
+                               + omega(2,3,0) sum_j [r_j = 3] alpha_j,
+
+so (2, 3, 0), which enters only E[h_i^3], is the one triple the weights skip.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .families import IDFamily, psi, psi_deriv
-from .nid import tail_cutoff
 from .quadrature import QuadResult, integrate_semi_infinite
 
-# the only (m, n, p) triples the weight formulas need
-ACCEPTED_SPECS = ((0, 1, 0), (1, 1, 1), (2, 2, 1), (1, 2, 0), (2, 1, 2))
+# the (m, n, p) triples the weight formulas and the moments of h need
+ACCEPTED_SPECS = ((0, 1, 0), (1, 1, 1), (2, 2, 1), (1, 2, 0), (2, 1, 2), (2, 3, 0))
+
+# exp(-a0 * psi) below this is treated as zero when choosing the cutoff
+_LOG_FLOOR = math.log(1e-30)
 
 
 @dataclass(frozen=True)
@@ -64,6 +75,19 @@ class Weights:
     def __post_init__(self):
         if not all(np.isfinite([self.v, self.v1, self.v2])):
             raise ValueError("weights must be finite")
+
+
+def tail_cutoff(family: IDFamily, alpha0: float) -> float | None:
+    """Point past which exp(-alpha0 * psi) is negligible, or None if unreached."""
+    target = -_LOG_FLOOR / alpha0
+    u = 1.0
+    for _ in range(60):
+        if psi(family, u) >= target:
+            return float(u)
+        u *= 4.0
+        if u > 1e15:
+            break
+    return None
 
 
 def omega_result(family: IDFamily, alpha0: float, spec) -> QuadResult:

@@ -1,7 +1,11 @@
-"""Shared test utilities: finite-difference oracles and tensor masks."""
+"""Shared test utilities: finite-difference and moment oracles, tensor masks."""
+import math
+
 import numpy as np
 
-from nidtopics import psi
+from nidtopics import psi, psi_deriv
+from nidtopics.quadrature import integrate_semi_infinite
+from nidtopics.weights import tail_cutoff
 
 
 def _length_scale(family, u):
@@ -53,3 +57,30 @@ def dirichlet_moment(alpha, r):
     for s in range(int(r.sum())):
         den *= a0 + s
     return num / den
+
+
+def reference_moment(model, r):
+    """E[prod h_i^{r_i}] by its own quadrature, one integral per multi-index.
+
+    The integrand is exp(-alpha0 psi) u^{n-1} / (n-1)! times, for each
+    coordinate, the complete Bell polynomial Y_{r_i} of the derivatives of
+    -alpha_i psi with sign (-1)^{r_i}: independent of the omega expansion
+    the library uses, so it serves as an oracle for it.
+    """
+    family, alpha, alpha0 = model.family, model.alpha, model.alpha0
+    r = np.asarray(r, dtype=int)
+    order = int(r.sum())
+    norm = math.gamma(order)
+
+    def integrand(u):
+        out = np.exp(-alpha0 * psi(family, u)) * u ** (order - 1) / norm
+        d = {n: psi_deriv(family, u, n) for n in (1, 2, 3)}
+        for a, rj in zip(alpha, r):
+            x1, x2, x3 = a * d[1], -a * d[2], a * d[3]
+            out = out * {0: 1.0, 1: x1, 2: x1 * x1 + x2,
+                         3: x1**3 + 3.0 * x1 * x2 + x3}[int(rj)]
+        return out
+
+    return integrate_semi_infinite(
+        integrand, u_max=tail_cutoff(family, alpha0),
+        singular_origin=family.singular_at_zero).value

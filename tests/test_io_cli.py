@@ -97,6 +97,7 @@ def _uci_with_bad_row(bad, n_good=150):
     ("1 7 1", "wordID 7 outside 1..6 (ids are 1-indexed on disk)"),
     ("1 2 0", "count must be positive"),
     ("1 2 -3", "count must be positive"),
+    (f"1 2 {2**63}", "count must be below 2**63"),
 ])
 def test_uci_reports_the_line_of_a_bad_row_after_good_ones(tmp_path, bad, message):
     p = tmp_path / "bad.uci"

@@ -1,68 +1,22 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.stats import dirichlet as sp_dirichlet
 
 from nidtopics import (
-    NIDModel, bell_complete, correlation_profile, custom_family, density,
+    NIDModel, correlation_profile, custom_family, density, exact_moment_set,
     gamma_family, ig_mean_correlation_profile, invgauss_family, moment,
-    moment_vector, psi, psi_deriv, sample, stable_family,
+    moment_matrix, moment_tensor, moment_vector, sample, stable_family,
 )
 from nidtopics.families import DomainError
-from nidtopics import nid
-from nidtopics.nid import SamplerError, UnsupportedFamilyError, _gig, moment_result
+from nidtopics import nid, weights
+from nidtopics.nid import SamplerError, UnsupportedFamilyError, _gig
 
-from helpers import dirichlet_moment
+from helpers import dirichlet_moment, reference_moment
 
 FIG3_ALPHA = np.array([0.77, 0.70, 0.97, 0.46, 0.02, 0.44, 0.90, 0.33, 0.97, 0.45])
-
-
-# ---------------------------------------------------------------------------
-# Bell polynomials
-
-
-def test_bell_first_order():
-    assert bell_complete((3.7,), 1) == 3.7
-
-
-def test_bell_second_order():
-    assert bell_complete((2.0, 1.0), 2) == 5.0
-
-
-def test_bell_third_order():
-    assert bell_complete((1.0, 1.0, 1.0), 3) == 5.0
-
-
-def _series_exp_derivative(x, order):
-    """r! * [t^r] exp(x1 t + x2 t^2/2 + x3 t^3/6), an independent oracle."""
-    g = np.zeros(order + 1)
-    coeffs = [0.0, x[0], x[1] / 2.0, x[2] / 6.0]
-    g[:min(order, 3) + 1] = coeffs[:min(order, 3) + 1]
-    series = np.zeros(order + 1)
-    series[0] = 1.0
-    term = np.array(series)
-    for n in range(1, order + 1):
-        term = np.convolve(term, g)[:order + 1] / n
-        series = series + term
-    return series[order] * math.factorial(order)
-
-
-@given(st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3)),
-       st.integers(1, 3))
-@settings(max_examples=80, deadline=None)
-def test_bell_matches_exponential_series(x, order):
-    assert bell_complete(x, order) == pytest.approx(
-        _series_exp_derivative(x, order), rel=1e-9, abs=1e-9)
-
-
-def test_bell_rejects_bad_order():
-    with pytest.raises(ValueError):
-        bell_complete((1.0, 2.0), 4)
-    with pytest.raises(ValueError):
-        bell_complete((1.0,), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +77,6 @@ def test_moment_order_validation():
         moment(model, [0, 0])
     with pytest.raises(ValueError):
         moment(model, [1, -1])
-
-
-def test_moment_reports_error_estimate():
-    model = NIDModel(stable_family(0.4), np.array([2.0, 2.0, 4.0]))
-    res = moment_result(model, [1, 1, 1])
-    assert res.error < 1e-7
-    assert res.value > 0
 
 
 @pytest.mark.parametrize("family,seed", [
@@ -193,21 +140,78 @@ def test_moments_match_monte_carlo_k5():
         assert abs(moment(model, r) - mc) < 3.0 * se
 
 
-def test_moment_invariant_under_argument_scaling():
-    # z -> s*z leaves h unchanged; at the exponent level psi(u) -> psi(s*u)
-    s = 7.0
-    scaled = custom_family(
+def _gamma_arg_scaled(s):
+    """The gamma:1 exponent at argument s*u, as a custom family."""
+    return custom_family(
         lambda u: np.log1p(s * u),
         lambda u: s / (1.0 + s * u),
         lambda u: -(s**2) * (1.0 + s * u) ** -2.0,
         lambda u: 2.0 * s**3 * (1.0 + s * u) ** -3.0,
         label="gamma-arg-scaled",
     )
+
+
+def test_moment_invariant_under_argument_scaling():
+    # z -> s*z leaves h unchanged; at the exponent level psi(u) -> psi(s*u)
     alpha = np.array([1.5, 2.5])
     base = NIDModel(gamma_family(1.0), alpha)
-    model = NIDModel(scaled, alpha)
+    model = NIDModel(_gamma_arg_scaled(7.0), alpha)
     for r in ([1, 0], [1, 1], [2, 1]):
         assert moment(model, r) == pytest.approx(moment(base, r), rel=1e-7)
+
+
+ORACLE_ALPHA = np.array([0.3, 1.1, 2.0, 0.02, 4.0])
+
+
+@pytest.fixture(scope="module", params=[
+    gamma_family(1.0), invgauss_family(0.5), stable_family(0.4), stable_family(0.75),
+    _gamma_arg_scaled(7.0)], ids=lambda f: f.spec())
+def oracle_moments(request):
+    """A k=5 model and its reference E[h], E[h⊗h], E[h⊗h⊗h], one
+    quadrature per multi-index."""
+    model = NIDModel(request.param, ORACLE_ALPHA)
+    k = model.k
+    ref = {}
+    for idx in itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(range(k), n) for n in (1, 2, 3)):
+        r = np.bincount(idx, minlength=k)
+        ref[idx] = reference_moment(model, r)
+    m1 = np.array([ref[(i,)] for i in range(k)])
+    m2 = np.array([[ref[tuple(sorted((i, j)))] for j in range(k)] for i in range(k)])
+    m3 = np.array([ref[tuple(sorted(ijl))] for ijl in itertools.product(range(k), repeat=3)])
+    return model, ref, m1, m2, m3.reshape(k, k, k)
+
+
+def test_moment_matches_reference_quadrature(oracle_moments):
+    model, ref, *_ = oracle_moments
+    for idx, expected in ref.items():
+        r = np.bincount(idx, minlength=model.k)
+        assert moment(model, r) == pytest.approx(expected, rel=1e-6), idx
+
+
+def test_moment_arrays_match_reference_quadrature(oracle_moments):
+    model, _, m1, m2, m3 = oracle_moments
+    np.testing.assert_allclose(moment_vector(model), m1, rtol=1e-6, atol=0)
+    np.testing.assert_allclose(moment_matrix(model), m2, rtol=1e-6, atol=0)
+    np.testing.assert_allclose(moment_tensor(model), m3, rtol=1e-6, atol=0)
+
+
+def test_exact_moment_set_makes_six_quadratures(monkeypatch):
+    # every exact moment of h comes from the six shared omega integrals,
+    # whatever k; one quadrature per multi-index would be 285 at k = 10
+    calls = []
+    for module in (nid, weights):
+        inner = module.integrate_semi_infinite
+
+        def counted(*args, _inner=inner, **kwargs):
+            calls.append(1)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, "integrate_semi_infinite", counted)
+    k = 10
+    model = NIDModel(invgauss_family(2.0), np.linspace(0.5, 2.0, k))
+    exact_moment_set(model, np.eye(k))
+    assert 0 < len(calls) <= 6
 
 
 def test_gamma_moments_do_not_depend_on_scale():

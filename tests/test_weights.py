@@ -48,8 +48,9 @@ def test_gamma_omega_111_against_brute_force():
 
 
 def test_omega_reports_error_estimate():
-    res = omega_result(stable_family(0.4), 8.0, (2, 2, 1))
-    assert res.error < 1e-7 * abs(res.value) + 1e-9
+    for spec in ((2, 2, 1), (2, 3, 0)):
+        res = omega_result(stable_family(0.4), 8.0, spec)
+        assert res.error < 1e-7 * abs(res.value) + 1e-9, spec
 
 
 @pytest.mark.parametrize("alpha0", [0.5, 1.0, 2.0, 5.0])
