@@ -3,7 +3,7 @@ infinitely divisible) topic models."""
 
 from .corpus import Corpus, corpus_from_docs
 from .decompose import (
-    DecompositionResult, LearnConfig, PowerMethodConfig, RankDeficiencyError,
+    DecompositionResult, PowerMethodConfig, RankDeficiencyError,
     StageError, TopicModel, decompose, learn, recover, whiten,
 )
 from .evaluate import perplexity, pmi, top_words
@@ -24,7 +24,7 @@ from .weights import OmegaSpec, Weights, compute_weights, omega
 
 __all__ = [
     "Corpus", "corpus_from_docs",
-    "DecompositionResult", "LearnConfig", "PowerMethodConfig",
+    "DecompositionResult", "PowerMethodConfig",
     "RankDeficiencyError", "StageError", "TopicModel",
     "decompose", "learn", "recover", "whiten",
     "perplexity", "pmi", "top_words",

@@ -16,10 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io as nio
-from .corpus import Corpus
-from .decompose import LearnConfig, PowerMethodConfig, StageError, TopicModel, learn
+from .decompose import PowerMethodConfig, StageError, TopicModel, learn
 from .evaluate import perplexity, pmi, top_words
-from .families import FamilyError, parse_family
+from .families import parse_family
 from .mcmc import posterior_mean_h, run_chain
 from .nid import NIDModel, correlation_profile, ig_mean_correlation_profile
 from .synth import SynthConfig, generate
@@ -168,9 +167,9 @@ def _cmd_learn(args) -> int:
     corpus = nio.read_uci(args.corpus)
     family = parse_family(args.family)
     alpha0 = "fit" if args.alpha0 == "fit" else float(args.alpha0)
-    config = LearnConfig(power=PowerMethodConfig(
-        n_restarts=args.restarts, n_iterations=args.iterations, seed=args.seed))
-    model = learn(corpus, family, args.k, alpha0, config=config)
+    power = PowerMethodConfig(n_restarts=args.restarts, n_iterations=args.iterations,
+                              seed=args.seed)
+    model = learn(corpus, family, args.k, alpha0, power)
     nio.write_topic_model(model, args.out)
     eigs = model.diagnostics.get("lambdas", [])
     _note(args, "eigenvalues: " + " ".join(f"{x:.6g}" for x in eigs))

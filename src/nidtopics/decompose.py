@@ -7,12 +7,15 @@ back through the un-whitening matrix and renormalize onto the simplex.
 Concentration parameters come from the first moment: the prior mean of the
 topic proportions is alpha / alpha0 for every shared-exponent family, so a
 nonnegative least-squares fit of the word mean through A gives the relative
-weights, scaled by a user-supplied (or fitted) total concentration.
+weights, scaled by a user-supplied (or fitted) total concentration.  The fit
+matches the pair weights kappa_j = -alpha_j omega(1,2,0), one quadrature per
+candidate alpha0; stable priors are refused, since their kappas do not depend
+on alpha0.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -20,10 +23,13 @@ from scipy.optimize import minimize_scalar, nnls
 from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh
 
 from .corpus import Corpus
-from .families import IDFamily
+from .families import STABLE, IDFamily
 from .moments import MomentSet, accumulate, build_m2, build_whitened_m3
-from .nid import NIDModel, moment_matrix
-from .weights import Weights, compute_weights
+from .weights import Weights, compute_weights, omega
+
+_CONV_TOL = 1e-8          # power iteration stops when no column moves this far
+_EIG_FLOOR = 1e-10        # |eigenvalue| below floor * max(1, ||T||_F) ends the rank
+_SMALL_EIG_RATIO = 0.05   # flag eigenvalues this small vs the largest
 
 
 class RankDeficiencyError(RuntimeError):
@@ -57,25 +63,18 @@ def _stage(name: str):
 class PowerMethodConfig:
     n_restarts: int = 30
     n_iterations: int = 100
-    conv_tol: float = 1e-8
-    eig_floor: float = 1e-10     # |eigenvalue| below floor * max(1, ||T||_F) ends the rank
     seed: int = 0
 
 
 @dataclass
 class DecompositionResult:
-    """Rank-one components of a whitened symmetric tensor.
-
-    ``eigenvalues`` live in whitened space; ``kappas``/``lambdas`` are the
-    pair/triple weights in the original basis, filled in by ``recover``.
-    """
+    """Rank-one components of a whitened symmetric tensor; ``eigenvalues``
+    live in whitened space."""
 
     components: np.ndarray          # (n_found, k) orthonormal rows
     eigenvalues: np.ndarray         # (n_found,)
     residual: float
     restarts_used: int
-    kappas: Optional[np.ndarray] = None
-    lambdas: Optional[np.ndarray] = None
     exhausted: bool = False
     converged: bool = True
 
@@ -104,9 +103,6 @@ class TopicModel:
             raise ValueError("columns of A must be probability vectors")
         if np.any(self.alpha <= 0.0):
             raise ValueError("alpha entries must be positive")
-        if min(self.A.shape) > 0:
-            sv = np.linalg.svd(self.A, compute_uv=False)
-            self.diagnostics.setdefault("min_singular_value", float(sv[-1]))
 
     @property
     def d(self) -> int:
@@ -121,8 +117,9 @@ class TopicModel:
         return float(self.alpha.sum())
 
 
-def whiten(M2, k: int, return_spectrum: bool = False):
-    """Top-k whitening pair (W, Winv_t) with W.T @ M2 @ W = I_k.
+def whiten(M2, k: int):
+    """Top-k whitening pair (W, Winv_t) with W.T @ M2 @ W = I_k, and the top-k
+    eigenvalues of M2 in descending order.
 
     ``M2`` is a symmetric (d, d) ndarray or ``LinearOperator``.  The top-k
     eigenpairs come from Lanczos (``eigsh``) started at a fixed seeded
@@ -155,9 +152,7 @@ def whiten(M2, k: int, return_spectrum: bool = False):
             f"(eigenvalue {k - 1} is {prev:.3e}, eigenvalue 1 is {evals[0]:.3e}); "
             f"cannot whiten to rank {k}")
     root = np.sqrt(evals)
-    if return_spectrum:
-        return evecs / root, evecs * root, evals
-    return evecs / root, evecs * root
+    return evecs / root, evecs * root, evals
 
 
 def _tensor_apply(T: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -171,14 +166,32 @@ def _rayleigh(T: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.sum(theta * _tensor_apply(T, theta), axis=0)
 
 
+def _power_iterate(T: np.ndarray, theta: np.ndarray, n_iterations: int):
+    """Power-iterate every column of theta, u <- T(I, u, u) / ||T(I, u, u)||.
+
+    Stops once no column moves by ``_CONV_TOL``; returns the final columns
+    and whether that happened within ``n_iterations`` steps.
+    """
+    for _ in range(n_iterations):
+        new = _tensor_apply(T, theta)
+        norms = np.linalg.norm(new, axis=0)
+        norms[norms == 0.0] = 1.0
+        new /= norms
+        shift = np.linalg.norm(new - theta, axis=0).max()
+        theta = new
+        if shift < _CONV_TOL:
+            return theta, True
+    return theta, False
+
+
 def decompose(T: np.ndarray, config: PowerMethodConfig = PowerMethodConfig(),
               k: Optional[int] = None) -> DecompositionResult:
     """Greedy rank-one extraction from a symmetric tensor.
 
     Per component: random restarts are power-iterated in parallel, the
     restart with the largest |T(u,u,u)| wins (ties broken by restart index),
-    gets polished to convergence and is deflated.  Stops early when the next
-    eigenvalue falls below the floor.
+    is power-iterated on its own to convergence and is deflated.  Stops
+    early when the next eigenvalue falls below the floor.
     """
     T = np.asarray(T, dtype=float)
     if T.ndim != 3 or len(set(T.shape)) != 1:
@@ -187,7 +200,7 @@ def decompose(T: np.ndarray, config: PowerMethodConfig = PowerMethodConfig(),
     if k is None:
         k = dim
     rng = np.random.default_rng(config.seed)
-    floor = config.eig_floor * max(1.0, float(np.linalg.norm(T)))
+    floor = _EIG_FLOOR * max(1.0, float(np.linalg.norm(T)))
 
     work = T.copy()
     comps, eigs = [], []
@@ -198,36 +211,15 @@ def decompose(T: np.ndarray, config: PowerMethodConfig = PowerMethodConfig(),
         theta = rng.standard_normal((dim, config.n_restarts))
         theta /= np.linalg.norm(theta, axis=0, keepdims=True)
         restarts_used += config.n_restarts
-        for _ in range(config.n_iterations):
-            new = _tensor_apply(work, theta)
-            norms = np.linalg.norm(new, axis=0)
-            norms[norms == 0.0] = 1.0
-            new /= norms
-            shift = np.linalg.norm(new - theta, axis=0).max()
-            theta = new
-            if shift < config.conv_tol:
-                break
-        lam = _rayleigh(work, theta)
-        best = int(np.argmax(np.abs(lam)))
-        u = theta[:, best].copy()
-        ok = False
-        for _ in range(config.n_iterations):
-            nxt = _tensor_apply(work, u[:, None])[:, 0]
-            n = np.linalg.norm(nxt)
-            if n == 0.0:
-                break
-            nxt /= n
-            if np.linalg.norm(nxt - u) < config.conv_tol:
-                u = nxt
-                ok = True
-                break
-            u = nxt
-        if not ok:
-            converged = False
-        lam_u = float(_rayleigh(work, u[:, None])[0])
+        theta, _ = _power_iterate(work, theta, config.n_iterations)
+        best = int(np.argmax(np.abs(_rayleigh(work, theta))))
+        theta, ok = _power_iterate(work, theta[:, best:best + 1], config.n_iterations)
+        converged = converged and ok
+        lam_u = float(_rayleigh(work, theta)[0])
         if abs(lam_u) < floor:
             exhausted = True
             break
+        u = theta[:, 0]
         comps.append(u)
         eigs.append(lam_u)
         work -= lam_u * np.einsum("i,j,l->ijl", u, u, u)
@@ -284,8 +276,6 @@ def recover(dr: DecompositionResult, Winv_t: np.ndarray, m1: np.ndarray,
         raise RecoveryError(f"alpha0 must be positive, got {alpha0}")
     alpha = alpha0 * hhat
 
-    dr.kappas = kappas
-    dr.lambdas = lambdas
     diagnostics = {
         "kappas": kappas,
         "lambdas": lambdas,
@@ -301,12 +291,22 @@ def _fit_alpha0(family: IDFamily, hhat: np.ndarray, kappas: np.ndarray) -> float
     """1-D fit of the total concentration from the pair-moment weights.
 
     For candidate a0 the model predicts kappa_j = E[h_j^2] + v E[h_j]^2 with
-    alpha = a0 * hhat; minimize the squared mismatch over log a0.
+    alpha = a0 * hhat.  With E[h_j^2] = omega(1,1,1) alpha_j^2 -
+    omega(1,2,0) alpha_j, E[h_j] = omega(0,1,0) alpha_j and
+    v = -omega(1,1,1) / omega(0,1,0)^2 the omega(1,1,1) terms cancel, so
+    kappa_j = -a0 omega(1,2,0) hhat_j: one quadrature per candidate.  The
+    squared mismatch is minimized over log a0.  Under a stable prior
+    -a0 omega(1,2,0) = 1 - gam at every a0, the loss is flat and
+    RecoveryError is raised.
     """
+    if family.kind == STABLE:
+        raise RecoveryError(
+            f"alpha0 cannot be fitted for {family.spec()}: the pair weights of a "
+            "stable prior do not depend on alpha0")
+
     def loss(log_a0: float) -> float:
         a0 = float(np.exp(log_a0))
-        w = compute_weights(family, a0)
-        pred = np.diag(moment_matrix(NIDModel(family, a0 * hhat))) + w.v * hhat**2
+        pred = -a0 * omega(family, a0, (1, 2, 0)) * hhat
         return float(np.sum((pred - kappas) ** 2))
 
     res = minimize_scalar(loss, bounds=(np.log(1e-2), np.log(1e3)), method="bounded",
@@ -314,16 +314,8 @@ def _fit_alpha0(family: IDFamily, hhat: np.ndarray, kappas: np.ndarray) -> float
     return float(np.exp(res.x))
 
 
-@dataclass
-class LearnConfig:
-    power: PowerMethodConfig = field(default_factory=PowerMethodConfig)
-    strict_short_docs: bool = False
-    small_eig_ratio: float = 0.05   # flag components this small vs the largest
-
-
 def learn(corpus: Corpus, family: IDFamily, k: int, alpha0: Union[float, str],
-          config: Optional[LearnConfig] = None,
-          weights_override: Optional[Weights] = None) -> TopicModel:
+          power: PowerMethodConfig = PowerMethodConfig()) -> TopicModel:
     """Full pipeline from a corpus to a TopicModel.
 
     Any stage failure is re-raised as StageError naming the stage.  With
@@ -331,49 +323,43 @@ def learn(corpus: Corpus, family: IDFamily, k: int, alpha0: Union[float, str],
     and the fit happens at recovery; rerun with the fitted value if the
     weights themselves should reflect it.
     """
-    config = config or LearnConfig()
     if corpus.n_docs == 0:
         raise StageError("input", ValueError("empty corpus"))
     if k > corpus.d:
         raise StageError("input", ValueError(f"k={k} exceeds vocabulary size {corpus.d}"))
 
     with _stage("weights"):
-        if weights_override is not None:
-            w = weights_override
-        else:
-            a0_for_weights = 1.0 if alpha0 == "fit" else float(alpha0)
-            w = compute_weights(family, a0_for_weights)
+        w = compute_weights(family, 1.0 if alpha0 == "fit" else float(alpha0))
     with _stage("moments"):
-        ms = accumulate(corpus, strict=config.strict_short_docs)
-    return learn_from_moments(ms, family, k, alpha0, w, config)
+        ms = accumulate(corpus)
+    return learn_from_moments(ms, family, k, alpha0, w, power)
 
 
 def learn_from_moments(ms: MomentSet, family: IDFamily, k: int,
                        alpha0: Union[float, str], weights: Weights,
-                       config: Optional[LearnConfig] = None) -> TopicModel:
-    """Pipeline tail for callers that already hold a MomentSet."""
-    config = config or LearnConfig()
+                       power: PowerMethodConfig = PowerMethodConfig()) -> TopicModel:
+    """Pipeline tail for a caller holding a MomentSet; ``weights`` goes to diagnostics."""
     with _stage("m2"):
         m2 = build_m2(ms, weights)
     with _stage("whiten"):
-        W, Winv_t, m2_spectrum = whiten(m2, k, return_spectrum=True)
+        W, Winv_t, m2_spectrum = whiten(m2, k)
     with _stage("m3"):
         t = build_whitened_m3(ms, weights, W)
     with _stage("decompose"):
-        dr = decompose(t, config.power, k=k)
+        dr = decompose(t, power, k=k)
     with _stage("recover"):
         model = recover(dr, Winv_t, ms.m1, family, alpha0)
 
     model.diagnostics["residual"] = dr.residual
-    model.diagnostics["weights"] = (weights.v, weights.v1, weights.v2)
+    model.diagnostics["weights"] = weights
     model.diagnostics["m2_spectrum"] = m2_spectrum
     flags = []
     if dr.exhausted or dr.n_components < k:
         flags.append(f"rank_exhausted_at_{dr.n_components + 1}")
-    if m2_spectrum[-1] < config.small_eig_ratio * m2_spectrum[0]:
+    if m2_spectrum[-1] < _SMALL_EIG_RATIO * m2_spectrum[0]:
         flags.append("small_pair_eigenvalue")
     lam_abs = np.abs(dr.eigenvalues)
-    if lam_abs.size and lam_abs.min() < config.small_eig_ratio * lam_abs.max():
+    if lam_abs.size and lam_abs.min() < _SMALL_EIG_RATIO * lam_abs.max():
         flags.append("small_eigenvalue")
     if not dr.converged:
         flags.append("power_iteration_not_converged")

@@ -6,7 +6,7 @@ concentration ``a``.  The concentration multiplier is always applied by the
 caller; the functions here return the base exponent and its first three
 derivatives in closed form.
 
-Built-in families (all driftless):
+Built-in families:
 
 * ``gamma`` with scale ``lam``:            psi(u) = log(1 + u / lam)
 * ``stable`` with index ``gam`` in (0,1):  psi(u) = C(gam) * u**gam
@@ -20,7 +20,7 @@ rescaling the z's, which the normalized vector never sees).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -49,21 +49,16 @@ class IDFamily:
     ``param`` is the scale ``lam`` for gamma, the index ``gam`` for stable and
     the shape ``lam`` for inverse Gaussian.  Custom families supply callbacks
     for the exponent and its first three derivatives; each callback must
-    accept and return numpy arrays.  ``drift`` is the deterministic part of
-    the law; it must be zero for the built-in kinds (they are pure-jump) and
-    is rejected by model constructors if nonzero.
+    accept and return numpy arrays.
     """
 
     kind: str
     param: Optional[float] = None
-    drift: float = 0.0
     psi_fn: Optional[Callable] = None
     deriv_fns: Optional[Tuple[Callable, Callable, Callable]] = None
     label: str = ""
 
     def __post_init__(self):
-        if self.drift < 0 or not np.isfinite(self.drift):
-            raise FamilyError(f"drift must be finite and nonnegative, got {self.drift}")
         if self.kind == GAMMA or self.kind == INVGAUSS:
             if self.param is None or self.param <= 0 or not np.isfinite(self.param):
                 raise FamilyError(f"{self.kind} requires lam > 0, got {self.param}")
@@ -75,8 +70,6 @@ class IDFamily:
                 raise FamilyError("custom family needs psi_fn and three derivative callbacks")
         else:
             raise FamilyError(f"unknown family kind {self.kind!r}")
-        if self.kind in _BUILTIN_KINDS and self.drift != 0.0:
-            raise FamilyError("built-in families are driftless (drift must be 0)")
 
     @property
     def singular_at_zero(self) -> bool:
@@ -105,8 +98,8 @@ def invgauss_family(lam: float) -> IDFamily:
     return IDFamily(INVGAUSS, float(lam))
 
 
-def custom_family(psi_fn, d1, d2, d3, drift: float = 0.0, label: str = "custom") -> IDFamily:
-    return IDFamily(CUSTOM, None, float(drift), psi_fn, (d1, d2, d3), label)
+def custom_family(psi_fn, d1, d2, d3, label: str = "custom") -> IDFamily:
+    return IDFamily(CUSTOM, None, psi_fn, (d1, d2, d3), label)
 
 
 def stable_constant(gam: float) -> float:
@@ -142,22 +135,19 @@ def _check_u(family: IDFamily, u: np.ndarray, positive: bool) -> None:
 
 
 def psi(family: IDFamily, u) -> np.ndarray:
-    """Base Laplace exponent at ``u`` (scalar or array), drift included."""
+    """Base Laplace exponent at ``u`` (scalar or array)."""
     u = np.asarray(u, dtype=float)
     _check_u(family, u, positive=False)
     if family.kind == GAMMA:
-        out = np.log1p(u / family.param)
+        return np.log1p(u / family.param)
     elif family.kind == STABLE:
-        out = stable_constant(family.param) * np.power(u, family.param)
+        return stable_constant(family.param) * np.power(u, family.param)
     elif family.kind == INVGAUSS:
         # algebraically sqrt(2u + lam^2) - lam, in a form without cancellation
         lam = family.param
-        out = 2.0 * u / (np.sqrt(2.0 * u + lam * lam) + lam)
+        return 2.0 * u / (np.sqrt(2.0 * u + lam * lam) + lam)
     else:
-        out = np.asarray(family.psi_fn(u), dtype=float)
-    if family.drift:
-        out = out + family.drift * u
-    return out
+        return np.asarray(family.psi_fn(u), dtype=float)
 
 
 def psi_deriv(family: IDFamily, u, order: int) -> np.ndarray:
@@ -168,21 +158,18 @@ def psi_deriv(family: IDFamily, u, order: int) -> np.ndarray:
     _check_u(family, u, positive=True)
     if family.kind == GAMMA:
         s = family.param + u
-        out = {1: 1.0 / s, 2: -1.0 / s**2, 3: 2.0 / s**3}[order]
+        return {1: 1.0 / s, 2: -1.0 / s**2, 3: 2.0 / s**3}[order]
     elif family.kind == STABLE:
         g = family.param
         c = stable_constant(g)
         if order == 1:
-            out = c * g * np.power(u, g - 1.0)
+            return c * g * np.power(u, g - 1.0)
         elif order == 2:
-            out = c * g * (g - 1.0) * np.power(u, g - 2.0)
+            return c * g * (g - 1.0) * np.power(u, g - 2.0)
         else:
-            out = c * g * (g - 1.0) * (g - 2.0) * np.power(u, g - 3.0)
+            return c * g * (g - 1.0) * (g - 2.0) * np.power(u, g - 3.0)
     elif family.kind == INVGAUSS:
         s = 2.0 * u + family.param**2
-        out = {1: s**-0.5, 2: -(s**-1.5), 3: 3.0 * s**-2.5}[order]
+        return {1: s**-0.5, 2: -(s**-1.5), 3: 3.0 * s**-2.5}[order]
     else:
-        out = np.asarray(family.deriv_fns[order - 1](u), dtype=float)
-    if family.drift and order == 1:
-        out = out + family.drift
-    return out
+        return np.asarray(family.deriv_fns[order - 1](u), dtype=float)

@@ -12,7 +12,7 @@ three d-by-k matrices run as BLAS matrix products over row chunks: O(nnz k +
 n_docs k^3 + d k^3) time and O(nnz + n_docs k + d k + _CHUNK k^2) memory.
 
 Documents too short for a moment order are salvaged for the lower orders
-(N >= 2 feeds the pair matrix, N >= 1 the mean) unless ``strict`` is set.
+(N >= 2 feeds the pair matrix, N >= 1 the mean).
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ _CHUNK = 1024
 
 
 class ShortDocumentError(ValueError):
-    """Documents below the length needed for third-order statistics."""
+    """No document is long enough for third-order statistics."""
 
 
 @dataclass
@@ -49,7 +49,6 @@ class MomentSet:
     m1: np.ndarray
     m2: LinearOperator
     triple: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    doc_count: int
     n_pair_docs: int = 0
     n_triple_docs: int = 0
 
@@ -111,15 +110,11 @@ def _make_triple(C: sp.csr_matrix, scale: np.ndarray, n_docs: int):
     return triple
 
 
-def accumulate(corpus: Corpus, strict: bool = False) -> MomentSet:
+def accumulate(corpus: Corpus) -> MomentSet:
     """Average the per-document unbiased moment statistics over a corpus."""
     if corpus.n_docs == 0:
         raise ValueError("empty corpus")
     lengths = corpus.doc_lengths().astype(float)
-    short = np.nonzero(lengths < 3)[0]
-    if strict and short.size:
-        raise ShortDocumentError(
-            f"{short.size} document(s) shorter than 3 words: ids {short[:20].tolist()}")
 
     # one float copy of the counts, sharing the corpus's index arrays
     counts = corpus.counts
@@ -146,7 +141,7 @@ def accumulate(corpus: Corpus, strict: bool = False) -> MomentSet:
         has3, 1.0 / np.maximum(lengths * (lengths - 1.0) * (lengths - 2.0), 1.0), 0.0)
     triple = _make_triple(C, triple_scale, n3)
 
-    return MomentSet(m1=m1, m2=m2, triple=triple, doc_count=corpus.n_docs,
+    return MomentSet(m1=m1, m2=m2, triple=triple,
                      n_pair_docs=int(has2.sum()), n_triple_docs=n3)
 
 
@@ -167,7 +162,7 @@ def exact_moment_set(model, A: np.ndarray) -> MomentSet:
         return np.einsum("abc,ai,bj,cl->ijl", t3h, A.T @ W1, A.T @ W2, A.T @ W3,
                          optimize=True)
 
-    return MomentSet(m1=m1, m2=m2, triple=triple, doc_count=0)
+    return MomentSet(m1=m1, m2=m2, triple=triple)
 
 
 def build_m2(ms: MomentSet, w: Weights) -> LinearOperator:

@@ -56,8 +56,6 @@ class NIDModel:
             raise ValueError("alpha must be a vector with at least two entries")
         if not np.all(np.isfinite(alpha)) or np.any(alpha <= 0.0):
             raise ValueError("all concentration entries must be positive and finite")
-        if self.family.drift != 0.0:
-            raise ValueError("NID models require a driftless family")
 
     @property
     def k(self) -> int:

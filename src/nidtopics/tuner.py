@@ -8,16 +8,16 @@ every candidate a genuine simplex prior.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .corpus import Corpus
-from .decompose import LearnConfig, TopicModel, learn
+from .decompose import TopicModel, learn
 from .evaluate import perplexity
 from .families import IDFamily
-from .weights import Weights, compute_weights
+from .weights import Weights
 
 
 class TunerError(RuntimeError):
@@ -76,8 +76,8 @@ def split_corpus(corpus: Corpus, split: float, seed: int):
 
 def tune(corpus: Corpus, k: int,
          search_space: Sequence[Union[TuneCandidate, Tuple[IDFamily, float]]],
-         split: float = 0.8, seed: int = 0, n_h_samples: int = 256,
-         config: Optional[LearnConfig] = None) -> Tuple[TopicModel, TuneReport]:
+         split: float = 0.8, seed: int = 0,
+         n_h_samples: int = 256) -> Tuple[TopicModel, TuneReport]:
     """Fit every candidate on the train split, pick the best validation perplexity."""
     candidates = [c if isinstance(c, TuneCandidate) else TuneCandidate(*c)
                   for c in search_space]
@@ -89,11 +89,9 @@ def tune(corpus: Corpus, k: int,
 
     def evaluate(cand: TuneCandidate) -> Tuple[TuneRow, Optional[TopicModel]]:
         try:
-            w = compute_weights(cand.family, cand.alpha0)
-            model = learn(train, cand.family, k, cand.alpha0,
-                          config=config, weights_override=w)
+            model = learn(train, cand.family, k, cand.alpha0)
             perp = perplexity(model, val, n_h_samples=n_h_samples, seed=seed)
-            row = TuneRow(cand, w, perp, model.diagnostics.get("residual", float("nan")))
+            row = TuneRow(cand, model.diagnostics["weights"], perp, model.diagnostics["residual"])
             return row, model
         except Exception as exc:  # candidate failure is data, not a crash
             return TuneRow(cand, None, float("inf"), float("inf"), error=str(exc)), None

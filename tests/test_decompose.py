@@ -5,11 +5,12 @@ import pytest
 from scipy.stats import ortho_group
 
 from nidtopics import (
-    LearnConfig, NIDModel, PowerMethodConfig, RankDeficiencyError, StageError,
+    NIDModel, PowerMethodConfig, RankDeficiencyError, StageError,
     SynthConfig, TopicModel, accumulate, build_m2, build_whitened_m3,
     compute_weights, decompose, exact_moment_set, gamma_family, generate,
-    invgauss_family, learn, moment, moment_vector, recover, whiten,
+    invgauss_family, learn, moment, moment_vector, recover, stable_family, whiten,
 )
+from nidtopics import weights
 from nidtopics.decompose import RecoveryError, _rayleigh, _tensor_apply, learn_from_moments
 from nidtopics.util import match_columns
 
@@ -23,7 +24,7 @@ def _rank1_tensor(v):
 
 
 def test_whiten_identity():
-    W, Winv_t = whiten(np.eye(4), 4)
+    W, Winv_t, _ = whiten(np.eye(4), 4)
     assert np.allclose(W.T @ np.eye(4) @ W, np.eye(4), atol=1e-12)
     assert np.allclose(W @ Winv_t.T, np.eye(4), atol=1e-12)
 
@@ -34,7 +35,7 @@ def test_whiten_exact_moment_matrix():
     model = NIDModel(gamma_family(1.0), np.array([2.0, 2.0, 4.0]))
     w = compute_weights(gamma_family(1.0), 8.0)
     m2 = build_m2(exact_moment_set(model, A), w)
-    W, Winv_t = whiten(m2, 3)
+    W, Winv_t, _ = whiten(m2, 3)
     assert np.max(np.abs(W.T @ (m2 @ W) - np.eye(3))) < 1e-8
     assert np.allclose(Winv_t.T @ W, np.eye(3), atol=1e-8)
 
@@ -49,7 +50,7 @@ def test_whiten_rank_deficiency_error_names_gap():
 
 def test_whiten_rank_cut_is_relative_to_top_eigenvalue():
     small = 1e-12 * np.diag([1.0, 0.5, 0.2])
-    W, _ = whiten(small, 3)
+    W, _, _ = whiten(small, 3)
     assert np.allclose(W.T @ small @ W, np.eye(3), atol=1e-8)
     with pytest.raises(RankDeficiencyError):
         whiten(1e6 * np.diag([1.0, 0.5, 1e-12]), 3)
@@ -60,12 +61,12 @@ def test_whiten_rank_cut_is_relative_to_top_eigenvalue():
 def test_whiten_operator_matches_dense_eigh_and_is_deterministic():
     corpus, _ = _small_corpus(gamma_family(1.0), seed=6, n_docs=400)
     m2 = build_m2(accumulate(corpus), compute_weights(gamma_family(1.0), 1.0))
-    W, Winv_t, evals = whiten(m2, 3, return_spectrum=True)
+    W, Winv_t, evals = whiten(m2, 3)
     dense_evals, dense_evecs = np.linalg.eigh(m2 @ np.eye(corpus.d))
     assert np.allclose(evals, dense_evals[::-1][:3], rtol=1e-10)
     U = dense_evecs[:, ::-1][:, :3]
     assert np.allclose(W @ Winv_t.T, U @ U.T, atol=1e-10)
-    W2, Winv_t2 = whiten(m2, 3)
+    W2, Winv_t2, _ = whiten(m2, 3)
     assert np.array_equal(W, W2) and np.array_equal(Winv_t, Winv_t2)
 
 
@@ -143,6 +144,15 @@ def test_power_step_helpers_match_einsum_on_nonsymmetric_tensor():
                        np.einsum("ijl,im,jm,lm->m", T, theta, theta, theta), rtol=0, atol=1e-12)
 
 
+def test_decompose_reports_unconverged_power_iteration():
+    rng = np.random.default_rng(4)
+    k = 4
+    V = ortho_group.rvs(k, random_state=rng)
+    t = sum(lam * _rank1_tensor(V[:, j]) for j, lam in enumerate([2.0, 1.5, 1.0, 0.5]))
+    assert decompose(t, PowerMethodConfig(seed=0)).converged
+    assert not decompose(t, PowerMethodConfig(n_iterations=1, seed=0)).converged
+
+
 def test_decompose_validates_shape():
     with pytest.raises(ValueError):
         decompose(np.zeros((2, 3, 2)))
@@ -152,12 +162,12 @@ def test_decompose_validates_shape():
 # recover and the exact-moment pipeline
 
 
-def _exact_pipeline(family, alpha, A, alpha0=None):
+def _exact_pipeline(family, alpha, A, alpha0=None, power=PowerMethodConfig()):
     model = NIDModel(family, alpha)
     w = compute_weights(family, model.alpha0)
     ms = exact_moment_set(model, A)
     return learn_from_moments(ms, family, alpha.size,
-                              alpha0 if alpha0 is not None else model.alpha0, w)
+                              alpha0 if alpha0 is not None else model.alpha0, w, power)
 
 
 def test_exact_moment_recovery_dirichlet():
@@ -219,7 +229,7 @@ def test_orthogonal_decomposability_certificate():
         w = compute_weights(family, model.alpha0)
         ms = exact_moment_set(model, A)
         m2 = build_m2(ms, w)
-        W, _ = whiten(m2, 3)
+        W, _, _ = whiten(m2, 3)
         t = build_whitened_m3(ms, w, W)
         dr = decompose(t, PowerMethodConfig(seed=0), k=3)
         assert dr.residual / np.linalg.norm(t) < 1e-3
@@ -302,9 +312,9 @@ def test_learn_rejects_k_above_vocab():
 def test_learn_deterministic_given_seed():
     family = gamma_family(1.0)
     corpus, _ = _small_corpus(family, seed=13, n_docs=500)
-    cfg = LearnConfig(power=PowerMethodConfig(seed=5))
-    a = learn(corpus, family, 3, 1.0, config=cfg)
-    b = learn(corpus, family, 3, 1.0, config=cfg)
+    power = PowerMethodConfig(seed=5)
+    a = learn(corpus, family, 3, 1.0, power)
+    b = learn(corpus, family, 3, 1.0, power)
     assert np.array_equal(a.A, b.A)
     assert np.array_equal(a.alpha, b.alpha)
 
@@ -337,6 +347,46 @@ def test_learn_with_fitted_alpha0():
     ms = exact_moment_set(model, A)
     tm = learn_from_moments(ms, family, 3, "fit", w)
     assert tm.alpha0 == pytest.approx(8.0, rel=0.05)
+
+
+def test_learn_flags_unconverged_power_iteration():
+    rng = np.random.default_rng(14)
+    A = rng.dirichlet(np.ones(10) * 0.5, size=3).T
+    alpha = np.array([2.0, 2.0, 4.0])
+    tm = _exact_pipeline(gamma_family(1.0), alpha, A, power=PowerMethodConfig(n_iterations=1))
+    assert "power_iteration_not_converged" in tm.diagnostics["flags"]
+    tm = _exact_pipeline(gamma_family(1.0), alpha, A)
+    assert "power_iteration_not_converged" not in tm.diagnostics.get("flags", [])
+
+
+def test_fitted_alpha0_takes_one_quadrature_per_loss_evaluation(monkeypatch):
+    rng = np.random.default_rng(14)
+    A = rng.dirichlet(np.ones(10) * 0.5, size=3).T
+    family = gamma_family(1.0)
+    model = NIDModel(family, np.array([2.0, 2.0, 4.0]))
+    w = compute_weights(family, model.alpha0)
+    ms = exact_moment_set(model, A)
+    calls = []
+    inner = weights.integrate_semi_infinite
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(weights, "integrate_semi_infinite", counted)
+    tm = learn_from_moments(ms, family, 3, "fit", w)
+    assert tm.alpha0 == pytest.approx(8.0, rel=0.05)
+    assert 0 < len(calls) <= 20
+
+
+def test_fitted_alpha0_refused_for_stable_prior():
+    rng = np.random.default_rng(14)
+    A = rng.dirichlet(np.ones(10) * 0.5, size=3).T
+    with pytest.raises(StageError) as exc:
+        _exact_pipeline(stable_family(0.5), np.array([2.0, 2.0, 4.0]), A, alpha0="fit")
+    assert exc.value.stage == "recover"
+    assert isinstance(exc.value.cause, RecoveryError)
+    assert "stable:0.5" in str(exc.value)
 
 
 def test_topic_model_validation():

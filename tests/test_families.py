@@ -132,9 +132,3 @@ def test_parse_family_round_trip():
         parse_family("weibull:1")
     with pytest.raises(FamilyError):
         parse_family("gamma")
-
-
-def test_builtin_families_reject_drift():
-    from nidtopics.families import IDFamily
-    with pytest.raises(FamilyError):
-        IDFamily("gamma", 1.0, drift=0.5)

@@ -243,6 +243,17 @@ def test_cli_learn_stage_error_exit_code(tmp_path, capsys):
     assert "[input]" in capsys.readouterr().err
 
 
+def test_cli_learn_refuses_to_fit_alpha0_for_stable(tmp_path, capsys):
+    corpus_path = str(tmp_path / "c.uci")
+    assert main(["--seed", "7", "generate", "--family", "stable:0.5", "--k", "3",
+                 "--d", "40", "--docs", "800", "--len", "30", "--out", corpus_path]) == 0
+    rc = main(["--seed", "7", "learn", "--corpus", corpus_path, "--family", "stable:0.5",
+               "--k", "3", "--alpha0", "fit", "--out", str(tmp_path / "m.tsv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "[recover]" in err and "stable:0.5" in err
+
+
 def test_cli_infer_outputs_means(tmp_path, capsys):
     model = TopicModel(A=np.eye(2), alpha=np.array([1.0, 1.0]),
                        family=gamma_family(1.0))

@@ -6,9 +6,10 @@ import pytest
 from scipy.stats import dirichlet as sp_dirichlet
 
 from nidtopics import (
-    NIDModel, correlation_profile, custom_family, density, exact_moment_set,
-    gamma_family, ig_mean_correlation_profile, invgauss_family, moment,
-    moment_matrix, moment_tensor, moment_vector, sample, stable_family,
+    NIDModel, centered_moment_matrix, compute_weights, correlation_profile,
+    custom_family, density, exact_moment_set, gamma_family,
+    ig_mean_correlation_profile, invgauss_family, moment, moment_matrix,
+    moment_tensor, moment_vector, sample, stable_family,
 )
 from nidtopics.families import DomainError
 from nidtopics import nid, weights
@@ -28,14 +29,6 @@ def test_model_requires_positive_alpha():
         NIDModel(gamma_family(1.0), np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         NIDModel(gamma_family(1.0), np.array([2.0]))
-
-
-def test_model_rejects_drift():
-    fam = custom_family(lambda u: np.log1p(u), lambda u: 1 / (1 + u),
-                        lambda u: -(1 + u) ** -2.0, lambda u: 2 * (1 + u) ** -3.0,
-                        drift=0.1)
-    with pytest.raises(ValueError):
-        NIDModel(fam, np.array([1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +187,17 @@ def test_moment_arrays_match_reference_quadrature(oracle_moments):
     np.testing.assert_allclose(moment_vector(model), m1, rtol=1e-6, atol=0)
     np.testing.assert_allclose(moment_matrix(model), m2, rtol=1e-6, atol=0)
     np.testing.assert_allclose(moment_tensor(model), m3, rtol=1e-6, atol=0)
+
+
+@pytest.mark.parametrize("family", [
+    gamma_family(1.0), invgauss_family(0.5), stable_family(0.4), _gamma_arg_scaled(7.0)],
+    ids=lambda f: f.spec())
+def test_centered_pair_diagonal_is_one_omega(family):
+    # E[h_j^2] + v E[h_j]^2 = -alpha_j omega(1,2,0): the alpha0 fit's identity
+    model = NIDModel(family, ORACLE_ALPHA)
+    kappa = np.diag(centered_moment_matrix(model, compute_weights(family, model.alpha0)))
+    expected = -ORACLE_ALPHA * weights.omega(family, model.alpha0, (1, 2, 0))
+    np.testing.assert_allclose(kappa, expected, rtol=1e-6, atol=0)
 
 
 def test_exact_moment_set_makes_six_quadratures(monkeypatch):
