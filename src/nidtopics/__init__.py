@@ -11,12 +11,12 @@ from .families import (
     IDFamily, custom_family, gamma_family, invgauss_family, parse_family,
     psi, psi_deriv, stable_family,
 )
-from .mcmc import ChainResult, ChainState, log_posterior, posterior_mean_h, run_chain
+from .mcmc import ChainResult, ChainState, posterior_mean_h, run_chain
 from .moments import MomentSet, accumulate, build_m2, build_whitened_m3, exact_moment_set
 from .nid import (
     NIDModel, centered_moment_matrix, centered_moment_tensor,
-    correlation_profile, density, ig_mean_correlation_profile, moment,
-    moment_matrix, moment_tensor, moment_vector, sample,
+    correlation_profile, ig_mean_correlation_profile, moment, moment_matrix,
+    moment_tensor, moment_vector, sample,
 )
 from .synth import SynthConfig, TopicAssignment, generate
 from .tuner import TuneCandidate, TuneReport, tune
@@ -30,11 +30,11 @@ __all__ = [
     "perplexity", "pmi", "top_words",
     "IDFamily", "custom_family", "gamma_family", "invgauss_family",
     "parse_family", "psi", "psi_deriv", "stable_family",
-    "ChainResult", "ChainState", "log_posterior", "posterior_mean_h", "run_chain",
+    "ChainResult", "ChainState", "posterior_mean_h", "run_chain",
     "MomentSet", "accumulate", "build_m2", "build_whitened_m3", "exact_moment_set",
     "NIDModel", "centered_moment_matrix", "centered_moment_tensor",
-    "correlation_profile", "density", "ig_mean_correlation_profile", "moment",
-    "moment_matrix", "moment_tensor", "moment_vector", "sample",
+    "correlation_profile", "ig_mean_correlation_profile", "moment", "moment_matrix",
+    "moment_tensor", "moment_vector", "sample",
     "SynthConfig", "TopicAssignment", "generate",
     "TuneCandidate", "TuneReport", "tune",
     "OmegaSpec", "Weights", "compute_weights", "omega",

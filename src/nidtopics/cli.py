@@ -66,7 +66,6 @@ def build_parser() -> _Parser:
     l.add_argument("--k", type=int, required=True)
     l.add_argument("--alpha0", default="1.0",
                    help="total concentration, or 'fit' to estimate it")
-    l.add_argument("--restarts", type=int, default=30)
     l.add_argument("--iterations", type=int, default=100)
     l.add_argument("--out", required=True)
 
@@ -167,13 +166,12 @@ def _cmd_learn(args) -> int:
     corpus = nio.read_uci(args.corpus)
     family = parse_family(args.family)
     alpha0 = "fit" if args.alpha0 == "fit" else float(args.alpha0)
-    power = PowerMethodConfig(n_restarts=args.restarts, n_iterations=args.iterations,
-                              seed=args.seed)
+    power = PowerMethodConfig(n_iterations=args.iterations, seed=args.seed)
     model = learn(corpus, family, args.k, alpha0, power)
     nio.write_topic_model(model, args.out)
     eigs = model.diagnostics.get("lambdas", [])
     _note(args, "eigenvalues: " + " ".join(f"{x:.6g}" for x in eigs))
-    _note(args, f"deflation residual: {model.diagnostics.get('residual', float('nan')):.6g}")
+    _note(args, f"residual: {model.diagnostics.get('residual', float('nan')):.6g}")
     for flag in model.diagnostics.get("flags", []):
         _note(args, f"flag: {flag}")
     return 0

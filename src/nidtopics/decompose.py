@@ -1,16 +1,17 @@
-"""Whitening, robust tensor power iteration, and topic recovery.
+"""Whitening, tensor power iteration, and topic recovery.
 
 The learning pipeline: center the pair moment, whiten it down to topic
-dimension, contract the centered third moment with the whitener, strip off
-rank-one components by power iteration with deflation, then map components
-back through the un-whitening matrix and renormalize onto the simplex.
+dimension, contract the centered third moment with the whitener, take all
+its rank-one components at once by orthogonalised power iteration, then map
+components back through the un-whitening matrix and renormalize onto the
+simplex.
 Concentration parameters come from the first moment: the prior mean of the
 topic proportions is alpha / alpha0 for every shared-exponent family, so a
 nonnegative least-squares fit of the word mean through A gives the relative
 weights, scaled by a user-supplied (or fitted) total concentration.  The fit
 matches the pair weights kappa_j = -alpha_j omega(1,2,0), one quadrature per
-candidate alpha0; stable priors are refused, since their kappas do not depend
-on alpha0.
+candidate alpha0; a prior whose kappas do not depend on alpha0 (stable ones,
+for instance) is refused.
 """
 from __future__ import annotations
 
@@ -23,13 +24,14 @@ from scipy.optimize import minimize_scalar, nnls
 from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh
 
 from .corpus import Corpus
-from .families import STABLE, IDFamily
+from .families import IDFamily
 from .moments import MomentSet, accumulate, build_m2, build_whitened_m3
 from .weights import Weights, compute_weights, omega
 
 _CONV_TOL = 1e-8          # power iteration stops when no column moves this far
 _EIG_FLOOR = 1e-10        # |eigenvalue| below floor * max(1, ||T||_F) ends the rank
 _SMALL_EIG_RATIO = 0.05   # flag eigenvalues this small vs the largest
+_FLAT_TOL = 1e-4          # alpha0 fit refused when its scale varies less than this
 
 
 class RankDeficiencyError(RuntimeError):
@@ -61,7 +63,6 @@ def _stage(name: str):
 
 @dataclass(frozen=True)
 class PowerMethodConfig:
-    n_restarts: int = 30
     n_iterations: int = 100
     seed: int = 0
 
@@ -71,10 +72,9 @@ class DecompositionResult:
     """Rank-one components of a whitened symmetric tensor; ``eigenvalues``
     live in whitened space."""
 
-    components: np.ndarray          # (n_found, k) orthonormal rows
+    components: np.ndarray          # (n_found, k) unit rows
     eigenvalues: np.ndarray         # (n_found,)
     residual: float
-    restarts_used: int
     exhausted: bool = False
     converged: bool = True
 
@@ -186,12 +186,14 @@ def _power_iterate(T: np.ndarray, theta: np.ndarray, n_iterations: int):
 
 def decompose(T: np.ndarray, config: PowerMethodConfig = PowerMethodConfig(),
               k: Optional[int] = None) -> DecompositionResult:
-    """Greedy rank-one extraction from a symmetric tensor.
+    """All k rank-one components of a symmetric tensor from one seeded start.
 
-    Per component: random restarts are power-iterated in parallel, the
-    restart with the largest |T(u,u,u)| wins (ties broken by restart index),
-    is power-iterated on its own to convergence and is deflated.  Stops
-    early when the next eigenvalue falls below the floor.
+    Orthogonalised simultaneous power iteration (Orth-ALS; Sharan & Valiant,
+    ICML 2017): a random orthonormal basis U is replaced by the QR factor of
+    T(I, u, u) over its columns until no column moves, then every column is
+    power-iterated on its own so the components of a nearly orthogonal tensor
+    may leave orthogonality.  Components with |eigenvalue| below the floor are
+    dropped; the rest are ordered by |eigenvalue|, largest first.
     """
     T = np.asarray(T, dtype=float)
     if T.ndim != 3 or len(set(T.shape)) != 1:
@@ -202,36 +204,30 @@ def decompose(T: np.ndarray, config: PowerMethodConfig = PowerMethodConfig(),
     rng = np.random.default_rng(config.seed)
     floor = _EIG_FLOOR * max(1.0, float(np.linalg.norm(T)))
 
-    work = T.copy()
-    comps, eigs = [], []
-    restarts_used = 0
-    exhausted = False
-    converged = True
-    for _ in range(k):
-        theta = rng.standard_normal((dim, config.n_restarts))
-        theta /= np.linalg.norm(theta, axis=0, keepdims=True)
-        restarts_used += config.n_restarts
-        theta, _ = _power_iterate(work, theta, config.n_iterations)
-        best = int(np.argmax(np.abs(_rayleigh(work, theta))))
-        theta, ok = _power_iterate(work, theta[:, best:best + 1], config.n_iterations)
-        converged = converged and ok
-        lam_u = float(_rayleigh(work, theta)[0])
-        if abs(lam_u) < floor:
-            exhausted = True
+    theta = np.linalg.qr(rng.standard_normal((dim, k)))[0]
+    orthogonal_ok = False
+    for _ in range(config.n_iterations):
+        new, R = np.linalg.qr(_tensor_apply(T, theta))
+        new *= np.where(np.diag(R) < 0.0, -1.0, 1.0)
+        shift = np.linalg.norm(new - theta, axis=0).max()
+        theta = new
+        if shift < _CONV_TOL:
+            orthogonal_ok = True
             break
-        u = theta[:, 0]
-        comps.append(u)
-        eigs.append(lam_u)
-        work -= lam_u * np.einsum("i,j,l->ijl", u, u, u)
+    theta, power_ok = _power_iterate(T, theta, config.n_iterations)
 
-    components = np.array(comps) if comps else np.zeros((0, dim))
+    lam = _rayleigh(T, theta)
+    keep = np.nonzero(np.abs(lam) >= floor)[0]
+    keep = keep[np.argsort(-np.abs(lam[keep]), kind="stable")]
+    components, eigenvalues = theta[:, keep].T, lam[keep]
+    pairs = (components[:, :, None] * components[:, None, :]).reshape(keep.size, dim * dim)
+    fitted = (components.T * eigenvalues) @ pairs
     return DecompositionResult(
         components=components,
-        eigenvalues=np.array(eigs),
-        residual=float(np.linalg.norm(work)),
-        restarts_used=restarts_used,
-        exhausted=exhausted,
-        converged=converged,
+        eigenvalues=eigenvalues,
+        residual=float(np.linalg.norm(T.reshape(dim, dim * dim) - fitted)),
+        exhausted=keep.size < k,
+        converged=orthogonal_ok and power_ok,
     )
 
 
@@ -295,22 +291,25 @@ def _fit_alpha0(family: IDFamily, hhat: np.ndarray, kappas: np.ndarray) -> float
     omega(1,2,0) alpha_j, E[h_j] = omega(0,1,0) alpha_j and
     v = -omega(1,1,1) / omega(0,1,0)^2 the omega(1,1,1) terms cancel, so
     kappa_j = -a0 omega(1,2,0) hhat_j: one quadrature per candidate.  The
-    squared mismatch is minimized over log a0.  Under a stable prior
-    -a0 omega(1,2,0) = 1 - gam at every a0, the loss is flat and
-    RecoveryError is raised.
+    squared mismatch is minimized over log a0.  When -a0 omega(1,2,0) is the
+    same at both ends of the bracket (under a stable prior it is 1 - gam at
+    every a0) the loss is flat and RecoveryError is raised.
     """
-    if family.kind == STABLE:
+    def scale(log_a0: float) -> float:
+        a0 = float(np.exp(log_a0))
+        return -a0 * omega(family, a0, (1, 2, 0))
+
+    bounds = (np.log(1e-2), np.log(1e3))
+    ends = [scale(b) for b in bounds]
+    if abs(ends[0] - ends[1]) <= _FLAT_TOL * max(abs(ends[0]), abs(ends[1])):
         raise RecoveryError(
-            f"alpha0 cannot be fitted for {family.spec()}: the pair weights of a "
-            "stable prior do not depend on alpha0")
+            f"alpha0 cannot be fitted for {family.spec()}: its pair weights do not "
+            "depend on alpha0")
 
     def loss(log_a0: float) -> float:
-        a0 = float(np.exp(log_a0))
-        pred = -a0 * omega(family, a0, (1, 2, 0)) * hhat
-        return float(np.sum((pred - kappas) ** 2))
+        return float(np.sum((scale(log_a0) * hhat - kappas) ** 2))
 
-    res = minimize_scalar(loss, bounds=(np.log(1e-2), np.log(1e3)), method="bounded",
-                          options={"xatol": 1e-4})
+    res = minimize_scalar(loss, bounds=bounds, method="bounded", options={"xatol": 1e-4})
     return float(np.exp(res.x))
 
 

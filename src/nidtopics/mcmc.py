@@ -28,13 +28,9 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import nid
 from .decompose import TopicModel
-from .families import GAMMA
-
-_NEG_INF = float("-inf")
 
 
 @dataclass
@@ -52,42 +48,8 @@ class ChainResult:
     acceptance_rate: float = 1.0
 
 
-def dirichlet_logpdf(x: np.ndarray, conc: np.ndarray) -> float:
-    if np.any(x <= 0.0):
-        return _NEG_INF
-    return float(gammaln(conc.sum()) - gammaln(conc).sum()
-                 + ((conc - 1.0) * np.log(x)).sum())
-
-
 def topic_counts(zeta: np.ndarray, k: int) -> np.ndarray:
     return np.bincount(zeta, minlength=k)
-
-
-def log_posterior(h, zeta, doc, model: TopicModel) -> float:
-    """Unnormalized log posterior of (h, zeta) for one document.
-
-    ``doc`` is the flat array of word ids.  Raises for families without a
-    density and for boundary h.  The prior term of invgauss and stable:0.5
-    is the quadrature density ``nid.density``.
-    """
-    h = np.asarray(h, dtype=float)
-    zeta = np.asarray(zeta, dtype=int)
-    doc = np.asarray(doc, dtype=int)
-    if doc.size != zeta.size:
-        raise ValueError("zeta must assign one topic per word")
-    if np.any(h <= 0.0):
-        raise ValueError("log_posterior requires strictly interior h")
-    if np.any(h >= 1.0):
-        prior = _NEG_INF
-    elif model.family.kind == GAMMA:
-        # normalizing by the sum of gammas is the Dirichlet for any scale
-        prior = dirichlet_logpdf(h, model.alpha)
-    else:
-        val = nid.density(nid.NIDModel(model.family, model.alpha), h)
-        prior = float(np.log(val)) if val > 0.0 else _NEG_INF
-    n_i = topic_counts(zeta, model.k)
-    word_term = float(np.log(model.A[doc, zeta]).sum()) if doc.size else 0.0
-    return prior + float((n_i * np.log(h)).sum()) + word_term
 
 
 def run_chain(doc, model: TopicModel, n_steps: int, burn_in: int,

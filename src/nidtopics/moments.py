@@ -49,8 +49,6 @@ class MomentSet:
     m1: np.ndarray
     m2: LinearOperator
     triple: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    n_pair_docs: int = 0
-    n_triple_docs: int = 0
 
 
 def _symmetric_operator(d: int, matmat: Callable[[np.ndarray], np.ndarray]) -> LinearOperator:
@@ -141,8 +139,7 @@ def accumulate(corpus: Corpus) -> MomentSet:
         has3, 1.0 / np.maximum(lengths * (lengths - 1.0) * (lengths - 2.0), 1.0), 0.0)
     triple = _make_triple(C, triple_scale, n3)
 
-    return MomentSet(m1=m1, m2=m2, triple=triple,
-                     n_pair_docs=int(has2.sum()), n_triple_docs=n3)
+    return MomentSet(m1=m1, m2=m2, triple=triple)
 
 
 def exact_moment_set(model, A: np.ndarray) -> MomentSet:

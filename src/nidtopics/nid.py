@@ -17,9 +17,7 @@ of ``weights``; with n = sum(r),
 so E[h], E[h⊗h] and E[h⊗h⊗h] take six one-dimensional quadratures in all,
 whatever k.  A Laplace exponent has psi', psi''' > 0 > psi'', so every term
 is nonnegative and nothing cancels.  Sampling uses exact per-family
-samplers, and the density (for the three families that have closed-form
-marginals) comes from the one-dimensional mixing integral over the common
-scale.
+samplers.
 """
 from __future__ import annotations
 
@@ -27,9 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .families import GAMMA, INVGAUSS, STABLE, DomainError, IDFamily, stable_constant
+from .families import GAMMA, INVGAUSS, STABLE, IDFamily, stable_constant
 from .quadrature import integrate_semi_infinite
 from .weights import _LOG_FLOOR, omega
 
@@ -64,13 +61,6 @@ class NIDModel:
     @property
     def alpha0(self) -> float:
         return float(self.alpha.sum())
-
-
-def check_simplex(h, atol: float = 1e-12) -> np.ndarray:
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 1 or np.any(h < 0.0) or abs(h.sum() - 1.0) > atol:
-        raise ValueError("not a point on the probability simplex")
-    return h
 
 
 def _validate_multi_index(model: NIDModel, r) -> np.ndarray:
@@ -273,26 +263,6 @@ def sample(model: NIDModel, rng: np.random.Generator, size: int | None = None) -
     return h[0] if size is None else h
 
 
-# ---------------------------------------------------------------------------
-# density via the mixing integral
-
-
-def _log_marginal(family: IDFamily, a: float, z: np.ndarray) -> np.ndarray:
-    """Log density of one unnormalized coordinate with concentration ``a``."""
-    if family.kind == GAMMA:
-        lam = family.param
-        return a * math.log(lam) + (a - 1.0) * np.log(z) - lam * z - gammaln(a)
-    if family.kind == INVGAUSS:
-        lam = family.param
-        return (math.log(a) - 0.5 * math.log(2.0 * math.pi) - 1.5 * np.log(z)
-                + a * lam - 0.5 * (a * a / z + lam * lam * z))
-    if family.kind == STABLE:
-        # closed form exists only at index 1/2 (the one-sided Levy law)
-        return (math.log(a) - 0.5 * math.log(2.0 * math.pi) - 1.5 * np.log(z)
-                - a * a / (2.0 * z))
-    raise UnsupportedFamilyError("density needs a closed-form marginal")
-
-
 def _require_closed_form(family: IDFamily) -> None:
     if family.kind in (GAMMA, INVGAUSS) or (
             family.kind == STABLE and abs(family.param - 0.5) < 1e-12):
@@ -300,40 +270,6 @@ def _require_closed_form(family: IDFamily) -> None:
     raise UnsupportedFamilyError(
         f"no closed-form marginals for {family.spec()}; "
         "supported: gamma, invgauss, stable:0.5")
-
-
-def density(model: NIDModel, h) -> float:
-    """Density of h (with respect to Lebesgue measure on the first k-1 coords)."""
-    _require_closed_form(model.family)
-    h = check_simplex(h)
-    if h.size != model.k:
-        raise ValueError("dimension mismatch between h and model")
-    if np.any(h <= 0.0):
-        raise DomainError("density requires a strictly interior point")
-
-    family, alpha, k = model.family, model.alpha, model.k
-
-    def log_integrand(s):
-        out = (k - 1.0) * np.log(s)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for i in range(k):
-                out = out + _log_marginal(family, alpha[i], h[i] * s)
-        # h_i * s can underflow to 0, where a marginal that vanishes at the
-        # origin (invgauss, stable:0.5) reads inf - inf = nan; the integrand
-        # is 0 there.  Mapped once per evaluation, not per coordinate: the
-        # marginals are the inner loop of run_chain's prior density.
-        return np.fmax(out, -np.inf, out=out)
-
-    # normalize in log space so the quadrature never overflows
-    probe = np.logspace(-6, 6, 61)
-    shift = float(np.max(log_integrand(probe)))
-    if shift == -np.inf:     # every h_i * s underflowed: the density is 0 here
-        return 0.0
-    res = integrate_semi_infinite(
-        lambda s: np.exp(np.clip(log_integrand(s) - shift, -745.0, 50.0)),
-        singular_origin=True,
-    )
-    return float(res.value * math.exp(shift))
 
 
 # ---------------------------------------------------------------------------

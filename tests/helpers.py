@@ -1,9 +1,14 @@
-"""Shared test utilities: finite-difference and moment oracles, tensor masks."""
+"""Shared test utilities: finite-difference, moment and density oracles,
+tensor masks."""
 import math
 
 import numpy as np
+from scipy.special import gammaln
 
-from nidtopics import psi, psi_deriv
+from nidtopics import NIDModel, psi, psi_deriv
+from nidtopics.families import GAMMA, INVGAUSS, STABLE, DomainError
+from nidtopics.mcmc import topic_counts
+from nidtopics.nid import UnsupportedFamilyError, _require_closed_form
 from nidtopics.quadrature import integrate_semi_infinite
 from nidtopics.weights import tail_cutoff
 
@@ -84,3 +89,90 @@ def reference_moment(model, r):
     return integrate_semi_infinite(
         integrand, u_max=tail_cutoff(family, alpha0),
         singular_origin=family.singular_at_zero).value
+
+
+def check_simplex(h, atol=1e-12):
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 1 or np.any(h < 0.0) or abs(h.sum() - 1.0) > atol:
+        raise ValueError("not a point on the probability simplex")
+    return h
+
+
+def _log_marginal(family, a, z):
+    """Log density of one unnormalized coordinate with concentration ``a``."""
+    if family.kind == GAMMA:
+        lam = family.param
+        return a * math.log(lam) + (a - 1.0) * np.log(z) - lam * z - gammaln(a)
+    if family.kind == INVGAUSS:
+        lam = family.param
+        return (math.log(a) - 0.5 * math.log(2.0 * math.pi) - 1.5 * np.log(z)
+                + a * lam - 0.5 * (a * a / z + lam * lam * z))
+    if family.kind == STABLE:
+        # closed form exists only at index 1/2 (the one-sided Levy law)
+        return (math.log(a) - 0.5 * math.log(2.0 * math.pi) - 1.5 * np.log(z)
+                - a * a / (2.0 * z))
+    raise UnsupportedFamilyError("density needs a closed-form marginal")
+
+
+def density(model, h):
+    """Density of h (with respect to Lebesgue measure on the first k-1 coords)
+    by the one-dimensional mixing integral over the common scale."""
+    _require_closed_form(model.family)
+    h = check_simplex(h)
+    if h.size != model.k:
+        raise ValueError("dimension mismatch between h and model")
+    if np.any(h <= 0.0):
+        raise DomainError("density requires a strictly interior point")
+
+    family, alpha, k = model.family, model.alpha, model.k
+
+    def log_integrand(s):
+        out = (k - 1.0) * np.log(s)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for i in range(k):
+                out = out + _log_marginal(family, alpha[i], h[i] * s)
+        # h_i * s can underflow to 0, where a marginal that vanishes at the
+        # origin (invgauss, stable:0.5) reads inf - inf = nan; the integrand
+        # is 0 there
+        return np.fmax(out, -np.inf, out=out)
+
+    # normalize in log space so the quadrature never overflows
+    probe = np.logspace(-6, 6, 61)
+    shift = float(np.max(log_integrand(probe)))
+    if shift == -np.inf:     # every h_i * s underflowed: the density is 0 here
+        return 0.0
+    res = integrate_semi_infinite(
+        lambda s: np.exp(np.clip(log_integrand(s) - shift, -745.0, 50.0)),
+        singular_origin=True,
+    )
+    return float(res.value * math.exp(shift))
+
+
+def dirichlet_logpdf(x, conc):
+    if np.any(x <= 0.0):
+        return -np.inf
+    return float(gammaln(conc.sum()) - gammaln(conc).sum()
+                 + ((conc - 1.0) * np.log(x)).sum())
+
+
+def log_posterior(h, zeta, doc, model):
+    """Unnormalized log posterior of (h, zeta) for one document of a
+    TopicModel; the prior term of invgauss and stable:0.5 is ``density``."""
+    h = np.asarray(h, dtype=float)
+    zeta = np.asarray(zeta, dtype=int)
+    doc = np.asarray(doc, dtype=int)
+    if doc.size != zeta.size:
+        raise ValueError("zeta must assign one topic per word")
+    if np.any(h <= 0.0):
+        raise ValueError("log_posterior requires strictly interior h")
+    if np.any(h >= 1.0):
+        prior = -np.inf
+    elif model.family.kind == GAMMA:
+        # normalizing by the sum of gammas is the Dirichlet for any scale
+        prior = dirichlet_logpdf(h, model.alpha)
+    else:
+        val = density(NIDModel(model.family, model.alpha), h)
+        prior = float(np.log(val)) if val > 0.0 else -np.inf
+    n_i = topic_counts(zeta, model.k)
+    word_term = float(np.log(model.A[doc, zeta]).sum()) if doc.size else 0.0
+    return prior + float((n_i * np.log(h)).sum()) + word_term

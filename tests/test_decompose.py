@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.stats import ortho_group
 from nidtopics import (
     NIDModel, PowerMethodConfig, RankDeficiencyError, StageError,
     SynthConfig, TopicModel, accumulate, build_m2, build_whitened_m3,
-    compute_weights, decompose, exact_moment_set, gamma_family, generate,
+    compute_weights, custom_family, decompose, exact_moment_set, gamma_family, generate,
     invgauss_family, learn, moment, moment_vector, recover, stable_family, whiten,
 )
 from nidtopics import weights
@@ -153,6 +154,29 @@ def test_decompose_reports_unconverged_power_iteration():
     assert not decompose(t, PowerMethodConfig(n_iterations=1, seed=0)).converged
 
 
+def test_decompose_tensor_applications_do_not_grow_with_k(monkeypatch):
+    # one orthogonalised loop and one polish over all k columns: no per-component
+    # restarts and no deflation
+    rng = np.random.default_rng(3)
+    k, n_iterations = 20, 30
+    V = ortho_group.rvs(k, random_state=rng)
+    t = sum(lam * _rank1_tensor(V[:, j]) for j, lam in enumerate(rng.uniform(0.5, 2.0, k)))
+    # the package's ``decompose`` attribute is the function, not the module
+    module = importlib.import_module("nidtopics.decompose")
+    calls = []
+    inner = module._tensor_apply
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(module, "_tensor_apply", counted)
+    dr = decompose(t, PowerMethodConfig(n_iterations=n_iterations, seed=1), k=k)
+    assert dr.n_components == k and dr.converged
+    assert dr.residual < 1e-8
+    assert len(calls) <= 2 * n_iterations + 1
+
+
 def test_decompose_validates_shape():
     with pytest.raises(ValueError):
         decompose(np.zeros((2, 3, 2)))
@@ -215,7 +239,7 @@ def test_kappa_lambda_match_moment_expansion():
 def test_recover_rejects_empty_decomposition():
     from nidtopics.decompose import DecompositionResult
     dr = DecompositionResult(components=np.zeros((0, 3)), eigenvalues=np.array([]),
-                             residual=0.0, restarts_used=0)
+                             residual=0.0)
     with pytest.raises(RecoveryError):
         recover(dr, np.eye(3), np.ones(3) / 3, gamma_family(1.0), 1.0)
 
@@ -387,6 +411,20 @@ def test_fitted_alpha0_refused_for_stable_prior():
     assert exc.value.stage == "recover"
     assert isinstance(exc.value.cause, RecoveryError)
     assert "stable:0.5" in str(exc.value)
+
+
+def test_fitted_alpha0_refused_when_pair_weights_are_flat():
+    # psi = u^0.4 is stable up to scale: -a0 omega(1,2,0) = 0.6 at every a0
+    family = custom_family(lambda u: u ** 0.4, lambda u: 0.4 * u ** -0.6,
+                           lambda u: -0.24 * u ** -1.6, lambda u: 0.384 * u ** -2.6,
+                           label="power:0.4")
+    rng = np.random.default_rng(14)
+    A = rng.dirichlet(np.ones(10) * 0.5, size=3).T
+    with pytest.raises(StageError) as exc:
+        _exact_pipeline(family, np.array([2.0, 2.0, 4.0]), A, alpha0="fit")
+    assert exc.value.stage == "recover"
+    assert isinstance(exc.value.cause, RecoveryError)
+    assert "power:0.4" in str(exc.value)
 
 
 def test_topic_model_validation():

@@ -234,6 +234,13 @@ def test_cli_generate_learn_eval_round_trip(tmp_path, capsys):
     assert "topic\t0\tword" in out
 
 
+def test_cli_learn_has_no_restarts_option(tmp_path, capsys):
+    rc = main(["learn", "--corpus", str(tmp_path / "c.uci"), "--family", "gamma:1",
+               "--k", "3", "--restarts", "5", "--out", str(tmp_path / "m.tsv")])
+    assert rc == 1
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_cli_learn_stage_error_exit_code(tmp_path, capsys):
     corpus_path = str(tmp_path / "c.uci")
     (tmp_path / "c.uci").write_text("1\n3\n1\n1 1 3\n")

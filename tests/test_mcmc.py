@@ -7,10 +7,12 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
 from nidtopics import (
-    NIDModel, TopicModel, density, gamma_family, invgauss_family, log_posterior,
-    parse_family, posterior_mean_h, run_chain, stable_family,
+    NIDModel, TopicModel, gamma_family, invgauss_family, parse_family,
+    posterior_mean_h, run_chain, stable_family,
 )
-from nidtopics.mcmc import dirichlet_logpdf, topic_counts
+from nidtopics.mcmc import topic_counts
+
+from helpers import density, dirichlet_logpdf, log_posterior
 
 
 def _two_topic_model(family=None):

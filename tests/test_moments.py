@@ -161,11 +161,13 @@ def test_short_documents_salvaged_for_lower_orders():
 
 
 def test_one_word_documents_feed_mean_only():
-    corpus = corpus_from_docs([{2: 1}, {0: 2, 1: 1, 2: 1}], d=3)
-    ms = accumulate(corpus)
+    long = {0: 2, 1: 1, 2: 1}
+    ms = accumulate(corpus_from_docs([{2: 1}, long], d=3))
+    alone = accumulate(corpus_from_docs([long], d=3))
     assert ms.m1.sum() == pytest.approx(1.0, abs=1e-12)
-    assert ms.n_pair_docs == 1
-    assert ms.n_triple_docs == 1
+    eye = np.eye(3)
+    assert np.array_equal(ms.m2 @ eye, alone.m2 @ eye)
+    assert np.array_equal(ms.triple(eye, eye, eye), alone.triple(eye, eye, eye))
 
 
 def test_build_m2_zero_weight_is_identity():

@@ -7,7 +7,7 @@ from scipy.stats import dirichlet as sp_dirichlet
 
 from nidtopics import (
     NIDModel, centered_moment_matrix, compute_weights, correlation_profile,
-    custom_family, density, exact_moment_set, gamma_family,
+    custom_family, exact_moment_set, gamma_family,
     ig_mean_correlation_profile, invgauss_family, moment, moment_matrix,
     moment_tensor, moment_vector, sample, stable_family,
 )
@@ -15,7 +15,7 @@ from nidtopics.families import DomainError
 from nidtopics import nid, weights
 from nidtopics.nid import SamplerError, UnsupportedFamilyError, _gig
 
-from helpers import dirichlet_moment, reference_moment
+from helpers import density, dirichlet_moment, reference_moment
 
 FIG3_ALPHA = np.array([0.77, 0.70, 0.97, 0.46, 0.02, 0.44, 0.90, 0.33, 0.97, 0.45])
 
