@@ -171,7 +171,8 @@ def _cmd_learn(args) -> int:
     nio.write_topic_model(model, args.out)
     eigs = model.diagnostics.get("lambdas", [])
     _note(args, "eigenvalues: " + " ".join(f"{x:.6g}" for x in eigs))
-    _note(args, f"residual: {model.diagnostics.get('residual', float('nan')):.6g}")
+    fitted = f"  fitted alpha0: {model.alpha0:.6g}" if alpha0 == "fit" else ""
+    _note(args, f"residual: {model.diagnostics.get('residual', float('nan')):.6g}{fitted}")
     for flag in model.diagnostics.get("flags", []):
         _note(args, f"flag: {flag}")
     return 0

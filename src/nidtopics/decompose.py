@@ -1,17 +1,20 @@
 """Whitening, tensor power iteration, and topic recovery.
 
-The learning pipeline: center the pair moment, whiten it down to topic
-dimension, contract the centered third moment with the whitener, take all
-its rank-one components at once by orthogonalised power iteration, then map
-components back through the un-whitening matrix and renormalize onto the
-simplex.
+The learning pipeline runs in two stages.  The corpus stage (``project``)
+takes the top-k eigenbasis of the raw pair moment by Lanczos and projects
+the moments onto it, the one contraction of the streamed triple.  The model
+stage centres the k-dimensional moments with one family's weights, whitens
+them, takes all rank-one components of the whitened third moment at once by
+orthogonalised power iteration, then maps the components back through the
+basis and the un-whitening matrix and renormalizes onto the simplex.
 Concentration parameters come from the first moment: the prior mean of the
 topic proportions is alpha / alpha0 for every shared-exponent family, so a
 nonnegative least-squares fit of the word mean through A gives the relative
 weights, scaled by a user-supplied (or fitted) total concentration.  The fit
-matches the pair weights kappa_j = -alpha_j omega(1,2,0), one quadrature per
-candidate alpha0; a prior whose kappas do not depend on alpha0 (stable ones,
-for instance) is refused.
+reruns only the model stage: it picks the alpha0 whose centring leaves the
+smallest relative residual of the whitened tensor's decomposition, and is
+refused when the centring weights do not depend on alpha0 (stable priors,
+for one).
 """
 from __future__ import annotations
 
@@ -25,13 +28,15 @@ from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh
 
 from .corpus import Corpus
 from .families import IDFamily
-from .moments import MomentSet, accumulate, build_m2, build_whitened_m3
-from .weights import Weights, compute_weights, omega
+from .moments import MomentSet, accumulate, build_m2, build_whitened_m3, project_moments
+from .weights import Weights, compute_weights
 
 _CONV_TOL = 1e-8          # power iteration stops when no column moves this far
 _EIG_FLOOR = 1e-10        # |eigenvalue| below floor * max(1, ||T||_F) ends the rank
 _SMALL_EIG_RATIO = 0.05   # flag eigenvalues this small vs the largest
-_FLAT_TOL = 1e-4          # alpha0 fit refused when its scale varies less than this
+_ALPHA0_GRID = np.geomspace(0.1, 30.0, 25)  # candidate alpha0 of the fit, refined after
+_FLAT_TOL = 1e-4          # alpha0 fit refused when its weights vary less than this
+_FLAT_CURVE = 0.05        # alpha0 fit flagged when its residuals vary less than this
 
 
 class RankDeficiencyError(RuntimeError):
@@ -232,13 +237,13 @@ def decompose(T: np.ndarray, config: PowerMethodConfig = PowerMethodConfig(),
 
 
 def recover(dr: DecompositionResult, Winv_t: np.ndarray, m1: np.ndarray,
-            family: IDFamily, alpha0: Union[float, str]) -> TopicModel:
+            family: IDFamily, alpha0: float) -> TopicModel:
     """Map whitened components back to word space and read off the prior.
 
     Component signs are fixed so each un-whitened column has positive sum;
     the squared sum is the pair-moment weight kappa_j and lambda_j follows
-    from the whitened eigenvalue.  alpha0 may be the string "fit", in which
-    case it is chosen so the model's kappa spectrum matches the recovered one.
+    from the whitened eigenvalue.  alpha is alpha0 times the nonnegative
+    least-squares fit of m1 through A, renormalized onto the simplex.
     """
     if dr.n_components == 0:
         raise RecoveryError("decomposition produced no components")
@@ -265,8 +270,6 @@ def recover(dr: DecompositionResult, Winv_t: np.ndarray, m1: np.ndarray,
     hhat = np.clip(hhat, 1e-12, None)
     hhat /= hhat.sum()
 
-    if alpha0 == "fit":
-        alpha0 = _fit_alpha0(family, hhat, kappas)
     alpha0 = float(alpha0)
     if alpha0 <= 0.0:
         raise RecoveryError(f"alpha0 must be positive, got {alpha0}")
@@ -283,76 +286,156 @@ def recover(dr: DecompositionResult, Winv_t: np.ndarray, m1: np.ndarray,
     return TopicModel(A=A, alpha=alpha, family=family, diagnostics=diagnostics)
 
 
-def _fit_alpha0(family: IDFamily, hhat: np.ndarray, kappas: np.ndarray) -> float:
-    """1-D fit of the total concentration from the pair-moment weights.
+@dataclass
+class Projection:
+    """The corpus stage of ``learn``, shared by every (family, alpha0)."""
 
-    For candidate a0 the model predicts kappa_j = E[h_j^2] + v E[h_j]^2 with
-    alpha = a0 * hhat.  With E[h_j^2] = omega(1,1,1) alpha_j^2 -
-    omega(1,2,0) alpha_j, E[h_j] = omega(0,1,0) alpha_j and
-    v = -omega(1,1,1) / omega(0,1,0)^2 the omega(1,1,1) terms cancel, so
-    kappa_j = -a0 omega(1,2,0) hhat_j: one quadrature per candidate.  The
-    squared mismatch is minimized over log a0.  When -a0 omega(1,2,0) is the
-    same at both ends of the bracket (under a stable prior it is 1 - gam at
-    every a0) the loss is flat and RecoveryError is raised.
+    m1: np.ndarray          # (d,) word mean
+    basis: np.ndarray       # (d, k) top-k eigenvectors of the raw pair moment
+    moments: MomentSet      # the moments seen through ``basis``, k-dimensional
+
+
+def project(ms: MomentSet, k: int) -> Projection:
+    """Top-k basis of the raw pair moment (Lanczos) and the moments projected on it.
+
+    In population the raw pair moment's range is span(A) and m1 lies in it, so
+    one basis serves every centring; ``ms.triple`` runs once, here.
     """
-    def scale(log_a0: float) -> float:
-        a0 = float(np.exp(log_a0))
-        return -a0 * omega(family, a0, (1, 2, 0))
+    with _stage("whiten"):
+        W, _, spectrum = whiten(ms.m2, k)
+    basis = W * np.sqrt(spectrum)
+    with _stage("m3"):
+        return Projection(ms.m1, basis, project_moments(ms, basis))
 
-    bounds = (np.log(1e-2), np.log(1e3))
-    ends = [scale(b) for b in bounds]
-    if abs(ends[0] - ends[1]) <= _FLAT_TOL * max(abs(ends[0]), abs(ends[1])):
-        raise RecoveryError(
-            f"alpha0 cannot be fitted for {family.spec()}: its pair weights do not "
-            "depend on alpha0")
+
+def _model_stage(moments: MomentSet, weights: Weights, k: int, power: PowerMethodConfig):
+    """Centre, whiten and decompose k-dimensional moments with one set of weights.
+
+    Returns the un-whitening (k, k) matrix, the centred pair spectrum, the
+    whitened tensor and its decomposition.
+    """
+    with _stage("m2"):
+        m2 = build_m2(moments, weights)
+    with _stage("whiten"):
+        W, Winv_t, spectrum = whiten(m2, k)
+    with _stage("m3"):
+        t = build_whitened_m3(moments, weights, W)
+    with _stage("decompose"):
+        dr = decompose(t, power, k=k)
+    return Winv_t, spectrum, t, dr
+
+
+def _fit_alpha0(p: Projection, family: IDFamily, power: PowerMethodConfig):
+    """The total concentration whose centring best diagonalizes the third moment.
+
+    Each candidate a0 centres the projected moments with its own weights and
+    scores the relative residual ||T - sum_j lambda_j u_j^(x)3|| / ||T|| of its
+    whitened tensor, +inf when its pair moment cannot be whitened.  The argmin
+    over ``_ALPHA0_GRID`` is refined by a bounded search between its grid
+    neighbours.  When (v, v1, v2) agree at the grid's two ends the centring
+    does not depend on a0 (stable priors, for one) and RecoveryError is raised.
+    Returns the best (a0, weights, model stage) and the grid's residuals.
+    """
+    k = p.basis.shape[1]
+    best = {"residual": np.inf}   # the first of the smallest residuals seen
+
+    def score(a0: float, w: Weights) -> float:
+        try:
+            stage = _model_stage(p.moments, w, k, power)
+        except StageError as exc:
+            if not isinstance(exc.cause, RankDeficiencyError):
+                raise
+            return np.inf
+        _, _, t, dr = stage
+        residual = dr.residual / float(np.linalg.norm(t))
+        if residual < best["residual"]:
+            best.update(residual=residual, a0=a0, weights=w, stage=stage)
+        return residual
+
+    def refused(reason: str) -> StageError:
+        return StageError("recover", RecoveryError(
+            f"alpha0 cannot be fitted for {family.spec()}: {reason}"))
+
+    with _stage("weights"):
+        grid_weights = [compute_weights(family, a0) for a0 in _ALPHA0_GRID]
+    ends = np.array([[w.v, w.v1, w.v2] for w in (grid_weights[0], grid_weights[-1])])
+    if np.abs(ends[0] - ends[1]).max() <= _FLAT_TOL * np.abs(ends).max():
+        raise refused("its centring weights do not depend on alpha0")
+    curve = np.array([score(a0, w) for a0, w in zip(_ALPHA0_GRID, grid_weights)])
+    if not np.isfinite(best["residual"]):
+        raise refused("the pair moment cannot be whitened at any grid point")
 
     def loss(log_a0: float) -> float:
-        return float(np.sum((scale(log_a0) * hhat - kappas) ** 2))
+        a0 = float(np.exp(log_a0))
+        with _stage("weights"):
+            w = compute_weights(family, a0)
+        return score(a0, w)
 
-    res = minimize_scalar(loss, bounds=bounds, method="bounded", options={"xatol": 1e-4})
-    return float(np.exp(res.x))
+    i = int(np.argmin(curve))
+    neighbours = _ALPHA0_GRID[[max(i - 1, 0), min(i + 1, _ALPHA0_GRID.size - 1)]]
+    minimize_scalar(loss, bounds=tuple(np.log(neighbours)), method="bounded",
+                    options={"xatol": 1e-4})
+    return best["a0"], best["weights"], best["stage"], curve
 
 
 def learn(corpus: Corpus, family: IDFamily, k: int, alpha0: Union[float, str],
           power: PowerMethodConfig = PowerMethodConfig()) -> TopicModel:
     """Full pipeline from a corpus to a TopicModel.
 
-    Any stage failure is re-raised as StageError naming the stage.  With
-    alpha0="fit" the centering weights are computed at total concentration 1
-    and the fit happens at recovery; rerun with the fitted value if the
-    weights themselves should reflect it.
+    Any stage failure is re-raised as StageError naming the stage.
     """
     if corpus.n_docs == 0:
         raise StageError("input", ValueError("empty corpus"))
     if k > corpus.d:
         raise StageError("input", ValueError(f"k={k} exceeds vocabulary size {corpus.d}"))
 
-    with _stage("weights"):
-        w = compute_weights(family, 1.0 if alpha0 == "fit" else float(alpha0))
+    weights = None
+    if alpha0 != "fit":
+        with _stage("weights"):
+            weights = compute_weights(family, float(alpha0))
     with _stage("moments"):
         ms = accumulate(corpus)
-    return learn_from_moments(ms, family, k, alpha0, w, power)
+    return learn_from_moments(ms, family, k, alpha0, weights, power)
 
 
 def learn_from_moments(ms: MomentSet, family: IDFamily, k: int,
-                       alpha0: Union[float, str], weights: Weights,
+                       alpha0: Union[float, str], weights: Optional[Weights],
                        power: PowerMethodConfig = PowerMethodConfig()) -> TopicModel:
-    """Pipeline tail for a caller holding a MomentSet; ``weights`` goes to diagnostics."""
-    with _stage("m2"):
-        m2 = build_m2(ms, weights)
-    with _stage("whiten"):
-        W, Winv_t, m2_spectrum = whiten(m2, k)
-    with _stage("m3"):
-        t = build_whitened_m3(ms, weights, W)
-    with _stage("decompose"):
-        dr = decompose(t, power, k=k)
+    """Pipeline tail for a caller holding a MomentSet.
+
+    ``weights`` is the centring at a numeric alpha0.  With alpha0="fit" it is
+    unused: every candidate alpha0 is centred with its own weights.
+    """
+    return _learn_projected(project(ms, k), family, alpha0, weights, power)
+
+
+def _learn_projected(p: Projection, family: IDFamily, alpha0: Union[float, str],
+                    weights: Optional[Weights],
+                    power: PowerMethodConfig = PowerMethodConfig()) -> TopicModel:
+    """The model stage: one (family, alpha0) on projected moments.
+
+    A numeric alpha0 is centred with ``weights``; "fit" chooses alpha0 by the
+    residual of the whitened tensor (``_fit_alpha0``) and records the grid and
+    its residuals in ``diagnostics["alpha0_fit"]``.
+    """
+    k = p.basis.shape[1]
+    curve = None
+    if alpha0 == "fit":
+        alpha0, weights, stage, curve = _fit_alpha0(p, family, power)
+    else:
+        stage = _model_stage(p.moments, weights, k, power)
+    Winv_t, m2_spectrum, _, dr = stage
     with _stage("recover"):
-        model = recover(dr, Winv_t, ms.m1, family, alpha0)
+        model = recover(dr, p.basis @ Winv_t, p.m1, family, alpha0)
 
     model.diagnostics["residual"] = dr.residual
     model.diagnostics["weights"] = weights
     model.diagnostics["m2_spectrum"] = m2_spectrum
     flags = []
+    if curve is not None:
+        model.diagnostics["alpha0_fit"] = {"grid": _ALPHA0_GRID.copy(), "residuals": curve}
+        if curve.max() < (1.0 + _FLAT_CURVE) * curve.min():
+            flags.append("alpha0_fit_flat")
     if dr.exhausted or dr.n_components < k:
         flags.append(f"rank_exhausted_at_{dr.n_components + 1}")
     if m2_spectrum[-1] < _SMALL_EIG_RATIO * m2_spectrum[0]:

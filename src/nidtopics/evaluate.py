@@ -39,6 +39,8 @@ def perplexity(model: TopicModel, corpus: Corpus, n_h_samples: int = 512,
         raise ValueError(f"model d={model.d} but corpus d={corpus.d}")
     if corpus.n_docs == 0:
         raise ValueError("empty corpus")
+    if n_h_samples < 1:
+        raise ValueError(f"n_h_samples must be at least 1, got {n_h_samples}")
     rng = np.random.default_rng(seed)
     h = prior_samples(model, n_h_samples, rng)
     with np.errstate(divide="ignore"):

@@ -142,6 +142,17 @@ def write_topic_model(model: TopicModel, path) -> None:
             fh.write("topic\t" + "\t".join(_fmt(x) for x in model.A[:, j]) + "\n")
 
 
+def _parse(path, lineno: int, items: Sequence[str], kind) -> list:
+    """``kind`` of every item of one line, or FormatError naming the line."""
+    out = []
+    for x in items:
+        try:
+            out.append(kind(x))
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: bad {kind.__name__} value {x!r}") from None
+    return out
+
+
 def read_topic_model(path) -> TopicModel:
     path = Path(path)
     with open(path, "r") as fh:
@@ -162,20 +173,27 @@ def read_topic_model(path) -> TopicModel:
             continue
         key, _, rest = line.partition("\t")
         if key == "topic":
-            topics.append(np.array([float(x) for x in rest.split("\t")]))
+            topics.append((lineno, _parse(path, lineno, rest.split("\t"), float)))
         else:
-            fields[key] = rest
+            fields[key] = (lineno, rest)
     for needed in ("d", "k", "family", "alpha"):
         if needed not in fields:
             raise FormatError(f"{path}: missing '{needed}' field")
-    d, k = int(fields["d"]), int(fields["k"])
-    family = parse_family(fields["family"])
-    alpha = np.array([float(x) for x in fields["alpha"].split("\t")])
+    (d,) = _parse(path, fields["d"][0], [fields["d"][1]], int)
+    (k,) = _parse(path, fields["k"][0], [fields["k"][1]], int)
+    lineno, spec = fields["family"]
+    try:
+        family = parse_family(spec)
+    except ValueError as exc:
+        raise FormatError(f"{path}:{lineno}: {exc}") from None
+    alpha = np.array(_parse(path, fields["alpha"][0], fields["alpha"][1].split("\t"), float))
     if len(topics) != k:
         raise FormatError(f"{path}: expected {k} topic lines, found {len(topics)}")
-    A = np.column_stack(topics)
-    if A.shape != (d, k):
-        raise FormatError(f"{path}: topic lines have wrong length for d={d}")
+    for lineno, column in topics:
+        if len(column) != d:
+            raise FormatError(f"{path}:{lineno}: topic line has {len(column)} entries, "
+                              f"expected d={d}")
+    A = np.column_stack([column for _, column in topics])
     return TopicModel(A=A, alpha=alpha, family=family)
 
 
@@ -205,7 +223,7 @@ def read_ground_truth(path) -> List[TopicAssignment]:
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 3:
                 raise FormatError(f"{path}:{lineno}: expected 3 columns")
-            h = np.array([float(x) for x in parts[1].split(",")])
-            zeta = np.array([int(x) for x in parts[2].split(",")], dtype=int)
+            h = np.array(_parse(path, lineno, parts[1].split(","), float))
+            zeta = np.array(_parse(path, lineno, parts[2].split(","), int), dtype=int)
             out.append(TopicAssignment(h=h, zeta=zeta))
     return out

@@ -61,6 +61,10 @@ def run_chain(doc, model: TopicModel, n_steps: int, burn_in: int,
     proposal of the former Metropolis sampler.  It is still checked to be
     positive and will be removed in the next release.
     """
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be non-negative, got {burn_in}")
+    if thin < 1:
+        raise ValueError(f"thin must be at least 1, got {thin}")
     if n_steps <= burn_in:
         raise ValueError("n_steps must exceed burn_in")
     if proposal_concentration <= 0.0:

@@ -162,6 +162,25 @@ def exact_moment_set(model, A: np.ndarray) -> MomentSet:
     return MomentSet(m1=m1, m2=m2, triple=triple)
 
 
+def project_moments(ms: MomentSet, V: np.ndarray) -> MomentSet:
+    """The moments seen through the k columns of V: a k-dimensional MomentSet.
+
+    m1 becomes V^T m1, the pair moment V^T M2 V and the triple T(V, V, V), the
+    one call of ``ms.triple``; every later contraction of the projected triple
+    is a k^4 ``einsum``.  When span(V) holds the topics and the mean, centring
+    and whitening the projection equals doing so in word space.
+    """
+    t = ms.triple(V, V, V)
+    g = V.T @ (ms.m2 @ V)
+    g = 0.5 * (g + g.T)
+
+    def triple(W1, W2, W3):
+        return np.einsum("abc,ai,bj,cl->ijl", t, W1, W2, W3, optimize=True)
+
+    return MomentSet(m1=V.T @ ms.m1, m2=_symmetric_operator(g.shape[0], lambda X: g @ X),
+                     triple=triple)
+
+
 def build_m2(ms: MomentSet, w: Weights) -> LinearOperator:
     """Centered second moment  E[x1 (x) x2] + v E[x1] (x) E[x2], as an operator."""
     m2, m1, v = ms.m2, ms.m1, w.v

@@ -1,10 +1,13 @@
 """Hyperparameter search over simplex-prior families.
 
-Candidates are (family, alpha0) pairs.  Each candidate induces its centering
-weights, a model is learnt on the train split, and the winner minimizes
-Monte-Carlo perplexity on the validation split (ties broken by candidate
-order).  Searching family parameters rather than raw weight triples keeps
-every candidate a genuine simplex prior.
+Candidates are (family, alpha0) pairs.  The train split's moments are
+accumulated and projected once (``decompose.project``: Lanczos and the one
+triple contraction); each candidate then only runs the k-dimensional model
+stage with its own centering weights, so its model is bit for bit the one
+``learn`` gives on the train split.  The winner minimizes Monte-Carlo
+perplexity on the validation split (ties broken by candidate order).
+Searching family parameters rather than raw weight triples keeps every
+candidate a genuine simplex prior.
 """
 from __future__ import annotations
 
@@ -14,10 +17,11 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .corpus import Corpus
-from .decompose import TopicModel, learn
+from .decompose import StageError, TopicModel, _learn_projected, project
 from .evaluate import perplexity
 from .families import IDFamily
-from .weights import Weights
+from .moments import accumulate
+from .weights import Weights, compute_weights
 
 
 class TunerError(RuntimeError):
@@ -86,10 +90,15 @@ def tune(corpus: Corpus, k: int,
     train_idx, val_idx = split_corpus(corpus, split, seed)
     train = corpus.subset(train_idx)
     val = corpus.subset(val_idx)
+    try:
+        projected = project(accumulate(train), k)
+    except (StageError, ValueError) as exc:  # shared by every candidate, so every one fails
+        raise TunerError(f"every candidate failed: {exc}") from exc
 
     def evaluate(cand: TuneCandidate) -> Tuple[TuneRow, Optional[TopicModel]]:
         try:
-            model = learn(train, cand.family, k, cand.alpha0)
+            weights = compute_weights(cand.family, cand.alpha0)
+            model = _learn_projected(projected, cand.family, cand.alpha0, weights)
             perp = perplexity(model, val, n_h_samples=n_h_samples, seed=seed)
             row = TuneRow(cand, model.diagnostics["weights"], perp, model.diagnostics["residual"])
             return row, model

@@ -15,6 +15,9 @@ from nidtopics import weights
 from nidtopics.decompose import RecoveryError, _rayleigh, _tensor_apply, learn_from_moments
 from nidtopics.util import match_columns
 
+# the package's ``decompose`` attribute is the function; this is its module
+decompose_module = importlib.import_module("nidtopics.decompose")
+
 
 def _rank1_tensor(v):
     return np.einsum("i,j,l->ijl", v, v, v)
@@ -373,6 +376,41 @@ def test_learn_with_fitted_alpha0():
     assert tm.alpha0 == pytest.approx(8.0, rel=0.05)
 
 
+@pytest.mark.parametrize("family", [gamma_family(1.0), invgauss_family(4.0)],
+                         ids=["gamma:1", "invgauss:4"])
+@pytest.mark.parametrize("alpha0", [0.3, 3.0, 10.0])
+def test_fitted_alpha0_recovers_the_true_concentration(family, alpha0):
+    # exact moments centred at the true alpha0 are orthogonally decomposable,
+    # so the whitened tensor's residual is smallest there; the weights passed
+    # (at alpha0 = 1) are unused, as every candidate is centred with its own
+    rng = np.random.default_rng(0)
+    A = rng.dirichlet(np.ones(60) * 0.5, size=4).T
+    hhat = np.array([0.15, 0.2, 0.3, 0.35])
+    ms = exact_moment_set(NIDModel(family, alpha0 * hhat), A)
+    tm = learn_from_moments(ms, family, 4, "fit", compute_weights(family, 1.0))
+    assert tm.alpha0 == pytest.approx(alpha0, rel=1e-3)
+    _, errs = match_columns(tm.A, A)
+    assert errs.max() < 1e-4
+    fit = tm.diagnostics["alpha0_fit"]
+    assert fit["grid"].size == fit["residuals"].size == 25
+    assert fit["grid"][np.argmin(fit["residuals"])] == pytest.approx(alpha0, rel=0.3)
+    assert "alpha0_fit_flat" not in tm.diagnostics.get("flags", [])
+
+
+def test_fitted_alpha0_flags_a_flat_residual_curve():
+    # 40 topics from 2000 short documents: the sampling noise in the whitened
+    # tensor swamps the centring, so no alpha0 stands out
+    family = invgauss_family(4.0)
+    rng = np.random.default_rng(1)
+    truth = TopicModel(A=rng.dirichlet(np.ones(200) * 0.1, size=40).T,
+                       alpha=np.full(40, 1.0 / 40), family=family)
+    corpus, _ = generate(truth, SynthConfig(2000, 50, seed=1))
+    tm = learn(corpus, family, 40, "fit")
+    residuals = tm.diagnostics["alpha0_fit"]["residuals"]
+    assert residuals.max() < 1.05 * residuals.min()
+    assert "alpha0_fit_flat" in tm.diagnostics["flags"]
+
+
 def test_learn_flags_unconverged_power_iteration():
     rng = np.random.default_rng(14)
     A = rng.dirichlet(np.ones(10) * 0.5, size=3).T
@@ -383,24 +421,38 @@ def test_learn_flags_unconverged_power_iteration():
     assert "power_iteration_not_converged" not in tm.diagnostics.get("flags", [])
 
 
-def test_fitted_alpha0_takes_one_quadrature_per_loss_evaluation(monkeypatch):
+def test_fitted_alpha0_projects_once_and_takes_five_quadratures_per_alpha0(monkeypatch):
     rng = np.random.default_rng(14)
     A = rng.dirichlet(np.ones(10) * 0.5, size=3).T
     family = gamma_family(1.0)
     model = NIDModel(family, np.array([2.0, 2.0, 4.0]))
     w = compute_weights(family, model.alpha0)
     ms = exact_moment_set(model, A)
-    calls = []
-    inner = weights.integrate_semi_infinite
+    triples, calls, alpha0s = [], [], []
+    inner_triple = ms.triple
+    inner_quad = weights.integrate_semi_infinite
+    inner_weights = decompose_module.compute_weights
 
-    def counted(*args, **kwargs):
+    def counted_triple(*args):
+        triples.append(1)
+        return inner_triple(*args)
+
+    def counted_quad(*args, **kwargs):
         calls.append(1)
-        return inner(*args, **kwargs)
+        return inner_quad(*args, **kwargs)
 
-    monkeypatch.setattr(weights, "integrate_semi_infinite", counted)
+    def recorded_weights(family, alpha0):
+        alpha0s.append(alpha0)
+        return inner_weights(family, alpha0)
+
+    ms.triple = counted_triple
+    monkeypatch.setattr(weights, "integrate_semi_infinite", counted_quad)
+    monkeypatch.setattr(decompose_module, "compute_weights", recorded_weights)
     tm = learn_from_moments(ms, family, 3, "fit", w)
     assert tm.alpha0 == pytest.approx(8.0, rel=0.05)
-    assert 0 < len(calls) <= 20
+    assert len(triples) == 1
+    assert len(alpha0s) > 0
+    assert len(calls) == 5 * len(alpha0s)
 
 
 def test_fitted_alpha0_refused_for_stable_prior():

@@ -77,6 +77,13 @@ def test_perplexity_dimension_mismatch():
         perplexity(bad, corpus)
 
 
+@pytest.mark.parametrize("n_h_samples", [0, -3])
+def test_perplexity_rejects_no_prior_samples(n_h_samples):
+    truth, corpus = _synthetic(seed=5, n_docs=10)
+    with pytest.raises(ValueError, match="n_h_samples"):
+        perplexity(truth, corpus, n_h_samples=n_h_samples)
+
+
 def test_zero_probability_documents_are_floored():
     # topic supported on word 0 only, corpus contains word 1
     A = np.array([[1.0], [0.0]])

@@ -175,6 +175,29 @@ def test_model_rejects_newer_version(tmp_path):
         read_topic_model(p)
 
 
+@pytest.mark.parametrize("line, replacement, lineno", [
+    ("topic\t", "topic\t0.5\tx\t", 6),      # non-numeric topic entry
+    ("d\t7", "d\ttwo", 2),                  # non-numeric dimension
+    ("topic\t", "topic\t0.5\t", 6),         # topic line one entry too long
+])
+def test_model_bad_line_names_its_line(tmp_path, line, replacement, lineno):
+    p = tmp_path / "m.tsv"
+    write_topic_model(_model(), p)
+    p.write_text(p.read_text().replace(line, replacement, 1))
+    with pytest.raises(FormatError) as exc:
+        read_topic_model(p)
+    assert f"{p}:{lineno}:" in str(exc.value)
+
+
+@pytest.mark.parametrize("row", ["0\t0.25,0.75\t0,x\n", "0\t0.25,y\t0,1\n"])
+def test_ground_truth_bad_field_names_its_line(tmp_path, row):
+    p = tmp_path / "t.tsv"
+    p.write_text("doc\th\tzeta\n0\t0.5,0.5\t1,0\n" + row)
+    with pytest.raises(FormatError) as exc:
+        read_ground_truth(p)
+    assert f"{p}:3:" in str(exc.value)
+
+
 def test_ground_truth_round_trip(tmp_path):
     assignments = [
         TopicAssignment(h=np.array([0.25, 0.75]), zeta=np.array([1, 0, 1])),
@@ -232,6 +255,19 @@ def test_cli_generate_learn_eval_round_trip(tmp_path, capsys):
     assert out.startswith("perplexity\t")
     assert "pmi\t" in out
     assert "topic\t0\tword" in out
+
+
+def test_cli_learn_notes_the_fitted_alpha0(tmp_path, capsys):
+    corpus_path = str(tmp_path / "c.uci")
+    assert main(["--seed", "7", "generate", "--family", "gamma:1", "--k", "3",
+                 "--d", "40", "--docs", "800", "--len", "30", "--out", corpus_path]) == 0
+    capsys.readouterr()
+    rc = main(["--seed", "7", "learn", "--corpus", corpus_path, "--family", "gamma:1",
+               "--k", "3", "--alpha0", "fit", "--out", str(tmp_path / "m.tsv")])
+    assert rc == 0
+    residual_line = [line for line in capsys.readouterr().err.splitlines()
+                     if line.startswith("residual: ")]
+    assert len(residual_line) == 1 and "fitted alpha0: " in residual_line[0]
 
 
 def test_cli_learn_has_no_restarts_option(tmp_path, capsys):

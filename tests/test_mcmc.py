@@ -120,6 +120,13 @@ def test_run_chain_validation():
         run_chain(np.array([5]), model, 10, 2, seed=0)
 
 
+@pytest.mark.parametrize("burn_in, thin, name", [(2, 0, "thin"), (2, -1, "thin"),
+                                                  (-5, 1, "burn_in")])
+def test_run_chain_rejects_bad_burn_in_and_thin(burn_in, thin, name):
+    with pytest.raises(ValueError, match=name):
+        run_chain(_doc(1, 1), _two_topic_model(), 10, burn_in, seed=0, thin=thin)
+
+
 def test_quadrature_prior_chain_runs():
     # the chain draws GIG tilted laws; log_posterior's prior is the quadrature
     model = _two_topic_model(family=invgauss_family(2.0))

@@ -3,8 +3,9 @@ import pytest
 
 from nidtopics import (
     SynthConfig, TopicModel, TuneCandidate, gamma_family, generate,
-    invgauss_family, perplexity, tune,
+    invgauss_family, learn, perplexity, tune,
 )
+from nidtopics import tuner
 from nidtopics.tuner import TunerError, split_corpus
 
 
@@ -45,6 +46,35 @@ def test_reported_perplexity_is_reproducible():
     val = corpus.subset(report.val_docs)
     again = perplexity(model, val, n_h_samples=128, seed=9)
     assert again == report.rows[report.best_index].val_perplexity
+
+
+def test_candidates_share_one_projection_of_the_train_split(monkeypatch):
+    corpus = _corpus(gamma_family(1.0), seed=3)
+    space = [(gamma_family(1.0), 0.5), (gamma_family(1.0), 1.0),
+             (invgauss_family(4.0), 1.0), (invgauss_family(16.0), 2.0)]
+    accumulated, triples = [], []
+    inner = tuner.accumulate
+
+    def counted(train):
+        ms = inner(train)
+        triple = ms.triple
+
+        def counted_triple(*args):
+            triples.append(1)
+            return triple(*args)
+
+        ms.triple = counted_triple
+        accumulated.append(train)
+        return ms
+
+    monkeypatch.setattr(tuner, "accumulate", counted)
+    model, report = tune(corpus, 3, space, seed=2, n_h_samples=64)
+    assert len(accumulated) == 1 and len(triples) == 1
+    assert not any(r.error for r in report.rows)
+    best = report.rows[report.best_index].candidate
+    again = learn(corpus.subset(report.train_docs), best.family, 3, best.alpha0)
+    assert np.array_equal(model.A, again.A)
+    assert np.array_equal(model.alpha, again.alpha)
 
 
 def test_self_selection_picks_generating_family():
