@@ -2,8 +2,9 @@
 
 The learning pipeline runs in two stages.  The corpus stage (``project``)
 takes the top-k eigenbasis of the raw pair moment by Lanczos and projects
-the moments onto it, the one contraction of the streamed triple.  The model
-stage centres the k-dimensional moments with one family's weights, whitens
+the moments onto it, the one contraction of the streamed triple, giving
+dense (k,), (k, k) and (k, k, k) arrays.  The model stage derives one
+family's weights at one alpha0, centres those arrays with them, whitens
 them, takes all rank-one components of the whitened third moment at once by
 orthogonalised power iteration, then maps the components back through the
 basis and the un-whitening matrix and renormalizes onto the simplex.
@@ -28,7 +29,9 @@ from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh
 
 from .corpus import Corpus
 from .families import IDFamily
-from .moments import MomentSet, accumulate, build_m2, build_whitened_m3, project_moments
+from .moments import (
+    MomentSet, Projection, accumulate, build_m2, build_whitened_m3, project_moments,
+)
 from .weights import Weights, compute_weights
 
 _CONV_TOL = 1e-8          # power iteration stops when no column moves this far
@@ -80,7 +83,6 @@ class DecompositionResult:
     components: np.ndarray          # (n_found, k) unit rows
     eigenvalues: np.ndarray         # (n_found,)
     residual: float
-    exhausted: bool = False
     converged: bool = True
 
     @property
@@ -128,9 +130,10 @@ def whiten(M2, k: int):
 
     ``M2`` is a symmetric (d, d) ndarray or ``LinearOperator``.  The top-k
     eigenpairs come from Lanczos (``eigsh``) started at a fixed seeded
-    vector, so the output is deterministic; only k == d, which ARPACK cannot
-    do, materializes ``M2 @ I`` for a dense ``eigh``.  The rank cut is
-    relative: eigenvalue k must be positive and above 1e-10 times the top one.
+    vector, so the output is deterministic; k == d, which ARPACK cannot do,
+    takes a dense ``eigh``, of the ndarray itself or of ``M2 @ I`` for an
+    operator.  The rank cut is relative: eigenvalue k must be positive and
+    above 1e-10 times the top one.
     Winv_t maps whitened vectors back: Winv_t = U_k diag(s_k)^(1/2).
     """
     if not isinstance(M2, LinearOperator):
@@ -143,7 +146,8 @@ def whiten(M2, k: int):
     if k < 1 or k > d:
         raise ValueError(f"k={k} out of range for d={d}")
     if k == d:
-        evals, evecs = np.linalg.eigh(M2 @ np.eye(d))
+        dense = M2 if isinstance(M2, np.ndarray) else M2 @ np.eye(d)
+        evals, evecs = np.linalg.eigh(dense)
     else:
         v0 = np.random.default_rng(0).standard_normal(d)
         evals, evecs = eigsh(aslinearoperator(M2), k, which="LA", v0=v0)
@@ -231,7 +235,6 @@ def decompose(T: np.ndarray, config: PowerMethodConfig = PowerMethodConfig(),
         components=components,
         eigenvalues=eigenvalues,
         residual=float(np.linalg.norm(T.reshape(dim, dim * dim) - fitted)),
-        exhausted=keep.size < k,
         converged=orthogonal_ok and power_ok,
     )
 
@@ -286,15 +289,6 @@ def recover(dr: DecompositionResult, Winv_t: np.ndarray, m1: np.ndarray,
     return TopicModel(A=A, alpha=alpha, family=family, diagnostics=diagnostics)
 
 
-@dataclass
-class Projection:
-    """The corpus stage of ``learn``, shared by every (family, alpha0)."""
-
-    m1: np.ndarray          # (d,) word mean
-    basis: np.ndarray       # (d, k) top-k eigenvectors of the raw pair moment
-    moments: MomentSet      # the moments seen through ``basis``, k-dimensional
-
-
 def project(ms: MomentSet, k: int) -> Projection:
     """Top-k basis of the raw pair moment (Lanczos) and the moments projected on it.
 
@@ -303,23 +297,22 @@ def project(ms: MomentSet, k: int) -> Projection:
     """
     with _stage("whiten"):
         W, _, spectrum = whiten(ms.m2, k)
-    basis = W * np.sqrt(spectrum)
     with _stage("m3"):
-        return Projection(ms.m1, basis, project_moments(ms, basis))
+        return project_moments(ms, W * np.sqrt(spectrum))
 
 
-def _model_stage(moments: MomentSet, weights: Weights, k: int, power: PowerMethodConfig):
-    """Centre, whiten and decompose k-dimensional moments with one set of weights.
+def _model_stage(p: Projection, weights: Weights, k: int, power: PowerMethodConfig):
+    """Centre, whiten and decompose the projected moments with one set of weights.
 
     Returns the un-whitening (k, k) matrix, the centred pair spectrum, the
     whitened tensor and its decomposition.
     """
     with _stage("m2"):
-        m2 = build_m2(moments, weights)
+        m2 = build_m2(p, weights)
     with _stage("whiten"):
         W, Winv_t, spectrum = whiten(m2, k)
     with _stage("m3"):
-        t = build_whitened_m3(moments, weights, W)
+        t = build_whitened_m3(p, weights, W)
     with _stage("decompose"):
         dr = decompose(t, power, k=k)
     return Winv_t, spectrum, t, dr
@@ -341,7 +334,7 @@ def _fit_alpha0(p: Projection, family: IDFamily, power: PowerMethodConfig):
 
     def score(a0: float, w: Weights) -> float:
         try:
-            stage = _model_stage(p.moments, w, k, power)
+            stage = _model_stage(p, w, k, power)
         except StageError as exc:
             if not isinstance(exc.cause, RankDeficiencyError):
                 raise
@@ -389,41 +382,40 @@ def learn(corpus: Corpus, family: IDFamily, k: int, alpha0: Union[float, str],
     if k > corpus.d:
         raise StageError("input", ValueError(f"k={k} exceeds vocabulary size {corpus.d}"))
 
-    weights = None
-    if alpha0 != "fit":
-        with _stage("weights"):
-            weights = compute_weights(family, float(alpha0))
     with _stage("moments"):
         ms = accumulate(corpus)
-    return learn_from_moments(ms, family, k, alpha0, weights, power)
+    return learn_from_moments(ms, family, k, alpha0, power)
 
 
 def learn_from_moments(ms: MomentSet, family: IDFamily, k: int,
-                       alpha0: Union[float, str], weights: Optional[Weights],
+                       alpha0: Union[float, str],
                        power: PowerMethodConfig = PowerMethodConfig()) -> TopicModel:
     """Pipeline tail for a caller holding a MomentSet.
 
-    ``weights`` is the centring at a numeric alpha0.  With alpha0="fit" it is
-    unused: every candidate alpha0 is centred with its own weights.
+    The corpus stage (``project``) runs once; the model stage takes its
+    centring weights from (family, alpha0), or from every candidate alpha0
+    when alpha0="fit".
     """
-    return _learn_projected(project(ms, k), family, alpha0, weights, power)
+    return _learn_projected(project(ms, k), family, alpha0, power)
 
 
 def _learn_projected(p: Projection, family: IDFamily, alpha0: Union[float, str],
-                    weights: Optional[Weights],
-                    power: PowerMethodConfig = PowerMethodConfig()) -> TopicModel:
+                     power: PowerMethodConfig = PowerMethodConfig()) -> TopicModel:
     """The model stage: one (family, alpha0) on projected moments.
 
-    A numeric alpha0 is centred with ``weights``; "fit" chooses alpha0 by the
-    residual of the whitened tensor (``_fit_alpha0``) and records the grid and
-    its residuals in ``diagnostics["alpha0_fit"]``.
+    A numeric alpha0 is centred with ``compute_weights(family, alpha0)``;
+    "fit" chooses alpha0 by the residual of the whitened tensor
+    (``_fit_alpha0``) and records the grid and its residuals in
+    ``diagnostics["alpha0_fit"]``.
     """
     k = p.basis.shape[1]
     curve = None
     if alpha0 == "fit":
         alpha0, weights, stage, curve = _fit_alpha0(p, family, power)
     else:
-        stage = _model_stage(p.moments, weights, k, power)
+        with _stage("weights"):
+            weights = compute_weights(family, float(alpha0))
+        stage = _model_stage(p, weights, k, power)
     Winv_t, m2_spectrum, _, dr = stage
     with _stage("recover"):
         model = recover(dr, p.basis @ Winv_t, p.m1, family, alpha0)
@@ -436,7 +428,7 @@ def _learn_projected(p: Projection, family: IDFamily, alpha0: Union[float, str],
         model.diagnostics["alpha0_fit"] = {"grid": _ALPHA0_GRID.copy(), "residuals": curve}
         if curve.max() < (1.0 + _FLAT_CURVE) * curve.min():
             flags.append("alpha0_fit_flat")
-    if dr.exhausted or dr.n_components < k:
+    if dr.n_components < k:
         flags.append(f"rank_exhausted_at_{dr.n_components + 1}")
     if m2_spectrum[-1] < _SMALL_EIG_RATIO * m2_spectrum[0]:
         flags.append("small_pair_eigenvalue")

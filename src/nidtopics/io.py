@@ -121,12 +121,6 @@ def read_vocab(path) -> List[str]:
         return [line.rstrip("\n") for line in fh if line.strip()]
 
 
-def write_vocab(vocab: Sequence[str], path) -> None:
-    with open(path, "w") as fh:
-        for token in vocab:
-            fh.write(f"{token}\n")
-
-
 # ---------------------------------------------------------------------------
 # topic models
 

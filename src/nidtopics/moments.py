@@ -1,4 +1,5 @@
-"""Empirical word moments and the centered tensors built from them.
+"""Empirical word moments, their projection onto k columns, and the centred
+k-dimensional tensors built from them.
 
 Estimators are the exchangeable ordered-tuple statistics: with count vector
 c and document length N, every ordered pair of distinct positions
@@ -7,15 +8,21 @@ distinct positions 1/(N(N-1)(N-2)) to the triple tensor; both are unbiased
 for E[x1 (x) x2] and E[x1 (x) x2 (x) x3] under conditional independence
 given the topic proportions.  Neither moment is materialized in vocabulary
 dimension: the pair moment is a symmetric d-by-d ``LinearOperator`` applied
-through the sparse counts, and the raw third moment is a contraction against
-three d-by-k matrices run as BLAS matrix products over row chunks: O(nnz k +
-n_docs k^3 + d k^3) time and O(nnz + n_docs k + d k + _CHUNK k^2) memory.
+through the sparse counts, and the raw third moment is contracted on all
+three modes with one d-by-k matrix, run as BLAS matrix products over row
+chunks: O(nnz k + n_docs k^3 + d k^3) time and
+O(nnz + n_docs k + d k + _CHUNK k^2) memory.
+
+``project_moments`` sees the moments through k columns once; what follows
+(centring with one family's weights, contraction with a whitener) is dense
+linear algebra on (k,), (k, k) and (k, k, k) arrays.
 
 Documents too short for a moment order are salvaged for the lower orders
 (N >= 2 feeds the pair matrix, N >= 1 the mean).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,13 +49,29 @@ class MomentSet:
     ``m2`` is the raw pair moment E[x1 (x) x2] as a symmetric (d, d)
     ``LinearOperator``: ``ms.m2 @ X`` costs O(nnz * X.shape[1]) and the d-by-d
     matrix never exists (``ms.m2 @ np.eye(d)`` materializes it for small d).
-    ``triple(W1, W2, W3)`` contracts the raw third-order moment with three
-    (d, k) matrices and returns a (k, k, k) array.
+    ``triple(V)`` contracts the raw third-order moment on all three modes
+    with one (d, k) matrix and returns the symmetric (k, k, k) array
+    T(V, V, V).
     """
 
     m1: np.ndarray
     m2: LinearOperator
-    triple: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    triple: Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass
+class Projection:
+    """The moments seen through the k columns of ``basis``, as dense arrays.
+
+    One projection serves every centring: ``build_m2`` and
+    ``build_whitened_m3`` need only ``u``, ``g`` and ``t``.
+    """
+
+    m1: np.ndarray          # (d,) word mean
+    basis: np.ndarray       # (d, k) the projection V
+    u: np.ndarray           # (k,) V^T m1
+    g: np.ndarray           # (k, k) V^T M2 V, the raw pair moment
+    t: np.ndarray           # (k, k, k) T(V, V, V), the raw triple
 
 
 def _symmetric_operator(d: int, matmat: Callable[[np.ndarray], np.ndarray]) -> LinearOperator:
@@ -80,30 +103,32 @@ def _khatri_rao_sum(X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 
 def _make_triple(C: sp.csr_matrix, scale: np.ndarray, n_docs: int):
-    """Closure contracting the distinct-position triple tensor.
+    """Closure contracting the distinct-position triple tensor with one (d, k) V.
 
     For one document the tensor is
         c (x) c (x) c  -  three pairings of diag(c) with c  +  2 superdiag(c).
-    With P_i = C W_i and R_i = C^T (s * P_i) every term is a matrix product:
-    the main term sums khatri_rao(s * P1, P2)^T P3 over documents, and the
-    pairings and the superdiagonal sum khatri_rao products of W_i, R_i and
-    ctilde * W_i over the vocabulary.  Cost O(nnz * k + n_docs * k^3 + d * k^3)
-    time and O(nnz + n_docs * k + d * k + _CHUNK * k^2) memory.
+    With P = C V and R = C^T (s * P) the main term sums khatri_rao(s * P, P)^T P
+    over documents, and each pairing is khatri_rao(V, V)^T R over the
+    vocabulary with its modes permuted.  The result is symmetrised exactly,
+    here and once, so the pairings and the superdiagonal collapse into one
+    sum, khatri_rao(V, V)^T (2 ctilde * V - 3 R): two sparse products in all.
+    Cost O(nnz * k + n_docs * k^3 + d * k^3) time and
+    O(nnz + n_docs * k + d * k + _CHUNK * k^2) memory.
     """
     ctilde = C.T @ scale
 
-    def triple(W1: np.ndarray, W2: np.ndarray, W3: np.ndarray) -> np.ndarray:
-        d = C.shape[1]
-        for W in (W1, W2, W3):
-            if W.shape[0] != d:
-                raise ValueError(f"contraction matrix has {W.shape[0]} rows, expected {d}")
-        sP1, P2, P3 = scale[:, None] * (C @ W1), C @ W2, C @ W3
-        R1, R2, R3 = C.T @ sP1, C.T @ (scale[:, None] * P2), C.T @ (scale[:, None] * P3)
-        t = _khatri_rao_sum(sP1, P2, P3)
-        t += _khatri_rao_sum(W1, W2, 2.0 * ctilde[:, None] * W3 - R3)
-        t -= _khatri_rao_sum(W1, R2, W3)
-        t -= _khatri_rao_sum(R1, W2, W3)
-        return t.reshape(W1.shape[1], W2.shape[1], W3.shape[1]) / n_docs
+    def triple(V: np.ndarray) -> np.ndarray:
+        d, k = C.shape[1], V.shape[1]
+        if V.shape[0] != d:
+            raise ValueError(f"contraction matrix has {V.shape[0]} rows, expected {d}")
+        P = C @ V
+        sP = scale[:, None] * P
+        R = C.T @ sP
+        t = _khatri_rao_sum(sP, P, P)
+        t += _khatri_rao_sum(V, V, 2.0 * ctilde[:, None] * V - 3.0 * R)
+        t = t.reshape(k, k, k)
+        t = sum(t.transpose(axes) for axes in itertools.permutations(range(3))) / 6.0
+        return t / n_docs
 
     return triple
 
@@ -155,54 +180,41 @@ def exact_moment_set(model, A: np.ndarray) -> MomentSet:
     m1 = A @ m1h
     m2 = _symmetric_operator(A.shape[0], lambda X: A @ (m2h @ (A.T @ X)))
 
-    def triple(W1, W2, W3):
-        return np.einsum("abc,ai,bj,cl->ijl", t3h, A.T @ W1, A.T @ W2, A.T @ W3,
-                         optimize=True)
+    def triple(V):
+        B = A.T @ V
+        return np.einsum("abc,ai,bj,cl->ijl", t3h, B, B, B, optimize=True)
 
     return MomentSet(m1=m1, m2=m2, triple=triple)
 
 
-def project_moments(ms: MomentSet, V: np.ndarray) -> MomentSet:
-    """The moments seen through the k columns of V: a k-dimensional MomentSet.
+def project_moments(ms: MomentSet, V: np.ndarray) -> Projection:
+    """The moments seen through the k columns of V, the one call of ``ms.triple``.
 
-    m1 becomes V^T m1, the pair moment V^T M2 V and the triple T(V, V, V), the
-    one call of ``ms.triple``; every later contraction of the projected triple
-    is a k^4 ``einsum``.  When span(V) holds the topics and the mean, centring
-    and whitening the projection equals doing so in word space.
+    When span(V) holds the topics and the mean, centring and whitening the
+    projection equals doing so in word space; ``V = np.eye(d)`` keeps the
+    whole word space for small d.
     """
-    t = ms.triple(V, V, V)
     g = V.T @ (ms.m2 @ V)
-    g = 0.5 * (g + g.T)
-
-    def triple(W1, W2, W3):
-        return np.einsum("abc,ai,bj,cl->ijl", t, W1, W2, W3, optimize=True)
-
-    return MomentSet(m1=V.T @ ms.m1, m2=_symmetric_operator(g.shape[0], lambda X: g @ X),
-                     triple=triple)
+    return Projection(m1=ms.m1, basis=V, u=V.T @ ms.m1, g=0.5 * (g + g.T), t=ms.triple(V))
 
 
-def build_m2(ms: MomentSet, w: Weights) -> LinearOperator:
-    """Centered second moment  E[x1 (x) x2] + v E[x1] (x) E[x2], as an operator."""
-    m2, m1, v = ms.m2, ms.m1, w.v
-    return _symmetric_operator(m1.size, lambda X: m2 @ X + v * np.outer(m1, m1 @ X))
+def build_m2(p: Projection, w: Weights) -> np.ndarray:
+    """Centered second moment  E[x1 (x) x2] + v E[x1] (x) E[x2], seen through V."""
+    return p.g + w.v * np.outer(p.u, p.u)
 
 
-def build_whitened_m3(ms: MomentSet, w: Weights, whitener: np.ndarray) -> np.ndarray:
-    """Centered third moment contracted on all modes with the whitener.
+def build_whitened_m3(p: Projection, w: Weights, whitener: np.ndarray) -> np.ndarray:
+    """Centered third moment, seen through V, contracted on all modes with the whitener.
 
-    Assembled entirely in k^3 space; the output is symmetrized exactly.
+    The centring is added to the symmetric k^3 triple, then one contraction
+    with the (k, k') whitener gives the (k', k', k') whitened tensor.
     """
     W = np.asarray(whitener, dtype=float)
-    if W.shape[0] != ms.m1.size:
-        raise ValueError(f"whitener has {W.shape[0]} rows, expected {ms.m1.size}")
-    u = W.T @ ms.m1
-    g = W.T @ (ms.m2 @ W)
-    t = ms.triple(W, W, W)
-    t = t + w.v2 * np.einsum("i,j,l->ijl", u, u, u)
+    u, g = p.u, p.g
+    if W.shape[0] != u.size:
+        raise ValueError(f"whitener has {W.shape[0]} rows, expected {u.size}")
+    t = p.t + w.v2 * np.einsum("i,j,l->ijl", u, u, u)
     t += w.v1 * (np.einsum("ij,l->ijl", g, u)
                  + np.einsum("il,j->ijl", g, u)
                  + np.einsum("jl,i->ijl", g, u))
-    # exact symmetry, killing the float asymmetry of the streamed term
-    t = (t + t.transpose(0, 2, 1) + t.transpose(1, 0, 2)
-         + t.transpose(1, 2, 0) + t.transpose(2, 0, 1) + t.transpose(2, 1, 0)) / 6.0
-    return t
+    return np.einsum("abc,ai,bj,cl->ijl", t, W, W, W, optimize=True)

@@ -3,11 +3,11 @@
 Candidates are (family, alpha0) pairs.  The train split's moments are
 accumulated and projected once (``decompose.project``: Lanczos and the one
 triple contraction); each candidate then only runs the k-dimensional model
-stage with its own centering weights, so its model is bit for bit the one
-``learn`` gives on the train split.  The winner minimizes Monte-Carlo
-perplexity on the validation split (ties broken by candidate order).
-Searching family parameters rather than raw weight triples keeps every
-candidate a genuine simplex prior.
+stage, which takes its centering weights from the candidate's (family,
+alpha0), so its model is bit for bit the one ``learn`` gives on the train
+split.  The winner minimizes Monte-Carlo perplexity on the validation split
+(ties broken by candidate order).  Searching family parameters rather than
+raw weight triples keeps every candidate a genuine simplex prior.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .decompose import StageError, TopicModel, _learn_projected, project
 from .evaluate import perplexity
 from .families import IDFamily
 from .moments import accumulate
-from .weights import Weights, compute_weights
+from .weights import Weights
 
 
 class TunerError(RuntimeError):
@@ -97,8 +97,7 @@ def tune(corpus: Corpus, k: int,
 
     def evaluate(cand: TuneCandidate) -> Tuple[TuneRow, Optional[TopicModel]]:
         try:
-            weights = compute_weights(cand.family, cand.alpha0)
-            model = _learn_projected(projected, cand.family, cand.alpha0, weights)
+            model = _learn_projected(projected, cand.family, cand.alpha0)
             perp = perplexity(model, val, n_h_samples=n_h_samples, seed=seed)
             row = TuneRow(cand, model.diagnostics["weights"], perp, model.diagnostics["residual"])
             return row, model

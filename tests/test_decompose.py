@@ -13,6 +13,7 @@ from nidtopics import (
 )
 from nidtopics import weights
 from nidtopics.decompose import RecoveryError, _rayleigh, _tensor_apply, learn_from_moments
+from nidtopics.moments import project_moments
 from nidtopics.util import match_columns
 
 # the package's ``decompose`` attribute is the function; this is its module
@@ -38,7 +39,7 @@ def test_whiten_exact_moment_matrix():
     A = rng.dirichlet(np.ones(10) * 0.4, size=3).T
     model = NIDModel(gamma_family(1.0), np.array([2.0, 2.0, 4.0]))
     w = compute_weights(gamma_family(1.0), 8.0)
-    m2 = build_m2(exact_moment_set(model, A), w)
+    m2 = build_m2(project_moments(exact_moment_set(model, A), np.eye(10)), w)
     W, Winv_t, _ = whiten(m2, 3)
     assert np.max(np.abs(W.T @ (m2 @ W) - np.eye(3))) < 1e-8
     assert np.allclose(Winv_t.T @ W, np.eye(3), atol=1e-8)
@@ -64,7 +65,7 @@ def test_whiten_rank_cut_is_relative_to_top_eigenvalue():
 
 def test_whiten_operator_matches_dense_eigh_and_is_deterministic():
     corpus, _ = _small_corpus(gamma_family(1.0), seed=6, n_docs=400)
-    m2 = build_m2(accumulate(corpus), compute_weights(gamma_family(1.0), 1.0))
+    m2 = accumulate(corpus).m2
     W, Winv_t, evals = whiten(m2, 3)
     dense_evals, dense_evecs = np.linalg.eigh(m2 @ np.eye(corpus.d))
     assert np.allclose(evals, dense_evals[::-1][:3], rtol=1e-10)
@@ -116,7 +117,7 @@ def test_random_orthogonal_mixture_recovered():
 def test_zero_tensor_yields_no_components():
     dr = decompose(np.zeros((3, 3, 3)), PowerMethodConfig(seed=0))
     assert dr.n_components == 0
-    assert dr.exhausted
+    assert dr.n_components < 3
 
 
 def test_negative_eigenvalue_kept():
@@ -191,10 +192,9 @@ def test_decompose_validates_shape():
 
 def _exact_pipeline(family, alpha, A, alpha0=None, power=PowerMethodConfig()):
     model = NIDModel(family, alpha)
-    w = compute_weights(family, model.alpha0)
     ms = exact_moment_set(model, A)
     return learn_from_moments(ms, family, alpha.size,
-                              alpha0 if alpha0 is not None else model.alpha0, w, power)
+                              alpha0 if alpha0 is not None else model.alpha0, power)
 
 
 def test_exact_moment_recovery_dirichlet():
@@ -254,12 +254,37 @@ def test_orthogonal_decomposability_certificate():
     for family in (gamma_family(1.0), invgauss_family(0.5)):
         model = NIDModel(family, alpha)
         w = compute_weights(family, model.alpha0)
-        ms = exact_moment_set(model, A)
-        m2 = build_m2(ms, w)
+        p = project_moments(exact_moment_set(model, A), np.eye(10))
+        m2 = build_m2(p, w)
         W, _, _ = whiten(m2, 3)
-        t = build_whitened_m3(ms, w, W)
+        t = build_whitened_m3(p, w, W)
         dr = decompose(t, PowerMethodConfig(seed=0), k=3)
         assert dr.residual / np.linalg.norm(t) < 1e-3
+
+
+@pytest.mark.parametrize("family", [gamma_family(1.0), invgauss_family(4.0)],
+                         ids=["gamma:1", "invgauss:4"])
+def test_centring_and_whitening_the_projection_equals_word_space(family):
+    # span of the Lanczos basis holds the topics and the mean, so the model
+    # stage sees the same centred pair spectrum and whitened tensor through it
+    # as through the whole vocabulary (V = I_d)
+    rng = np.random.default_rng(9)
+    d, k = 10, 3
+    A = rng.dirichlet(np.ones(d) * 0.5, size=k).T
+    model = NIDModel(family, np.array([2.0, 2.0, 4.0]))
+    w = compute_weights(family, model.alpha0)
+    ms = exact_moment_set(model, A)
+    seen = []
+    for p in (decompose_module.project(ms, k), project_moments(ms, np.eye(d))):
+        W, _, spectrum = whiten(build_m2(p, w), k)
+        t = build_whitened_m3(p, w, W)
+        dr = decompose(t, PowerMethodConfig(seed=0), k=k)
+        seen.append((spectrum, np.linalg.norm(t), np.sort(np.abs(dr.eigenvalues))))
+    (spec_v, norm_v, lam_v), (spec_d, norm_d, lam_d) = seen
+    assert np.allclose(spec_v, spec_d, rtol=1e-8, atol=0.0)
+    assert norm_v == pytest.approx(norm_d, rel=1e-8)
+    assert lam_v.size == lam_d.size == k
+    assert np.allclose(lam_v, lam_d, rtol=1e-8, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +361,13 @@ def test_learn_rejects_k_above_vocab():
         learn(corpus, gamma_family(1.0), 26, 1.0)
 
 
+def test_learn_rejects_a_negative_alpha0_in_the_weights_stage():
+    corpus, _ = _small_corpus(gamma_family(1.0), seed=12, n_docs=50)
+    with pytest.raises(StageError) as exc:
+        learn(corpus, gamma_family(1.0), 3, -1.0)
+    assert exc.value.stage == "weights"
+
+
 def test_learn_deterministic_given_seed():
     family = gamma_family(1.0)
     corpus, _ = _small_corpus(family, seed=13, n_docs=500)
@@ -370,9 +402,8 @@ def test_learn_with_fitted_alpha0():
     alpha = np.array([2.0, 2.0, 4.0])
     family = gamma_family(1.0)
     model = NIDModel(family, alpha)
-    w = compute_weights(family, model.alpha0)
     ms = exact_moment_set(model, A)
-    tm = learn_from_moments(ms, family, 3, "fit", w)
+    tm = learn_from_moments(ms, family, 3, "fit")
     assert tm.alpha0 == pytest.approx(8.0, rel=0.05)
 
 
@@ -381,13 +412,12 @@ def test_learn_with_fitted_alpha0():
 @pytest.mark.parametrize("alpha0", [0.3, 3.0, 10.0])
 def test_fitted_alpha0_recovers_the_true_concentration(family, alpha0):
     # exact moments centred at the true alpha0 are orthogonally decomposable,
-    # so the whitened tensor's residual is smallest there; the weights passed
-    # (at alpha0 = 1) are unused, as every candidate is centred with its own
+    # so the whitened tensor's residual is smallest there
     rng = np.random.default_rng(0)
     A = rng.dirichlet(np.ones(60) * 0.5, size=4).T
     hhat = np.array([0.15, 0.2, 0.3, 0.35])
     ms = exact_moment_set(NIDModel(family, alpha0 * hhat), A)
-    tm = learn_from_moments(ms, family, 4, "fit", compute_weights(family, 1.0))
+    tm = learn_from_moments(ms, family, 4, "fit")
     assert tm.alpha0 == pytest.approx(alpha0, rel=1e-3)
     _, errs = match_columns(tm.A, A)
     assert errs.max() < 1e-4
@@ -426,7 +456,6 @@ def test_fitted_alpha0_projects_once_and_takes_five_quadratures_per_alpha0(monke
     A = rng.dirichlet(np.ones(10) * 0.5, size=3).T
     family = gamma_family(1.0)
     model = NIDModel(family, np.array([2.0, 2.0, 4.0]))
-    w = compute_weights(family, model.alpha0)
     ms = exact_moment_set(model, A)
     triples, calls, alpha0s = [], [], []
     inner_triple = ms.triple
@@ -448,7 +477,7 @@ def test_fitted_alpha0_projects_once_and_takes_five_quadratures_per_alpha0(monke
     ms.triple = counted_triple
     monkeypatch.setattr(weights, "integrate_semi_infinite", counted_quad)
     monkeypatch.setattr(decompose_module, "compute_weights", recorded_weights)
-    tm = learn_from_moments(ms, family, 3, "fit", w)
+    tm = learn_from_moments(ms, family, 3, "fit")
     assert tm.alpha0 == pytest.approx(8.0, rel=0.05)
     assert len(triples) == 1
     assert len(alpha0s) > 0

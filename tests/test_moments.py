@@ -11,7 +11,7 @@ from nidtopics import (
     generate,
 )
 from nidtopics import moments
-from nidtopics.moments import ShortDocumentError
+from nidtopics.moments import ShortDocumentError, project_moments
 
 
 def _brute_force_moments(doc_counts, d):
@@ -49,14 +49,14 @@ def test_single_doc_matches_brute_force():
     assert np.allclose(ms.m1, m1)
     assert np.allclose(ms.m2 @ np.eye(4), m2)
     eye = np.eye(4)
-    assert np.allclose(ms.triple(eye, eye, eye), m3, atol=1e-12)
+    assert np.allclose(ms.triple(eye), m3, atol=1e-12)
 
 
 def test_distinct_words_give_permutation_tensor():
     corpus = corpus_from_docs([{0: 1, 1: 1, 2: 1}], d=3)
     ms = accumulate(corpus)
     eye = np.eye(3)
-    t = ms.triple(eye, eye, eye)
+    t = ms.triple(eye)
     expected = np.zeros((3, 3, 3))
     for p in itertools.permutations((0, 1, 2)):
         expected[p] = 1.0 / 6.0
@@ -70,7 +70,7 @@ def test_duplicate_documents_average_out():
     assert np.allclose(one.m1, two.m1)
     assert np.allclose(one.m2 @ np.eye(3), two.m2 @ np.eye(3))
     w = np.random.default_rng(0).normal(size=(3, 2))
-    assert np.allclose(one.triple(w, w, w), two.triple(w, w, w))
+    assert np.allclose(one.triple(w), two.triple(w))
 
 
 def test_moment_set_mass_invariants():
@@ -99,7 +99,7 @@ def test_vocab_permutation_equivariance(perm):
     w = np.random.default_rng(0).normal(size=(5, 3))
     w_p = np.zeros_like(w)
     w_p[perm] = w
-    assert np.allclose(ms_p.triple(w_p, w_p, w_p), ms.triple(w, w, w), atol=1e-12)
+    assert np.allclose(ms_p.triple(w_p), ms.triple(w), atol=1e-12)
 
 
 def test_chunk_order_does_not_change_results():
@@ -113,12 +113,11 @@ def test_chunk_order_does_not_change_results():
     assert np.allclose(ms_a.m1, ms_b.m1, atol=1e-10)
     assert np.allclose(ms_a.m2 @ np.eye(8), ms_b.m2 @ np.eye(8), atol=1e-10)
     w = rng.normal(size=(8, 3))
-    assert np.allclose(ms_a.triple(w, w, w), ms_b.triple(w, w, w), atol=1e-10)
+    assert np.allclose(ms_a.triple(w), ms_b.triple(w), atol=1e-10)
 
 
 @pytest.mark.parametrize("chunk", [None, 2])
 def test_triple_with_distinct_contraction_matrices_matches_brute_force(chunk, monkeypatch):
-    # three different widths, so a swapped mode in any pairing term shows;
     # lengths 1 and 2 feed no triples, lengths 3 and 6 repeat words
     if chunk is not None:
         monkeypatch.setattr(moments, "_CHUNK", chunk)
@@ -132,10 +131,10 @@ def test_triple_with_distinct_contraction_matrices_matches_brute_force(chunk, mo
     for doc in long_docs:
         m3 += _brute_force_moments(doc, d)[2] / len(long_docs)
     rng = np.random.default_rng(6)
-    W1, W2, W3 = (rng.normal(size=(d, k)) for k in (2, 3, 4))
-    expected = np.einsum("abc,ai,bj,cl->ijl", m3, W1, W2, W3)
-    t = ms.triple(W1, W2, W3)
-    assert t.shape == (2, 3, 4)
+    V = rng.normal(size=(d, 3))
+    expected = np.einsum("abc,ai,bj,cl->ijl", m3, V, V, V)
+    t = ms.triple(V)
+    assert t.shape == (3, 3, 3)
     assert np.max(np.abs(t - expected)) < 1e-12
 
 
@@ -157,7 +156,7 @@ def test_short_documents_salvaged_for_lower_orders():
     assert np.allclose(ms.m1, 0.5 * (m1_s + m1_l))
     assert np.allclose(ms.m2 @ np.eye(3), 0.5 * (m2_s + m2_l))
     eye = np.eye(3)
-    assert np.allclose(ms.triple(eye, eye, eye), m3_l)
+    assert np.allclose(ms.triple(eye), m3_l)
 
 
 def test_one_word_documents_feed_mean_only():
@@ -167,14 +166,14 @@ def test_one_word_documents_feed_mean_only():
     assert ms.m1.sum() == pytest.approx(1.0, abs=1e-12)
     eye = np.eye(3)
     assert np.array_equal(ms.m2 @ eye, alone.m2 @ eye)
-    assert np.array_equal(ms.triple(eye, eye, eye), alone.triple(eye, eye, eye))
+    assert np.array_equal(ms.triple(eye), alone.triple(eye))
 
 
 def test_build_m2_zero_weight_is_identity():
     corpus = corpus_from_docs([{0: 2, 1: 2}], d=2)
     ms = accumulate(corpus)
-    out = build_m2(ms, Weights(0.0, 0.0, 0.0))
-    assert np.array_equal(out @ np.eye(2), ms.m2 @ np.eye(2))
+    out = build_m2(project_moments(ms, np.eye(2)), Weights(0.0, 0.0, 0.0))
+    assert np.array_equal(out, ms.m2 @ np.eye(2))
 
 
 def test_exact_m2_has_topic_rank():
@@ -184,7 +183,7 @@ def test_exact_m2_has_topic_rank():
     from nidtopics import compute_weights
     w = compute_weights(gamma_family(1.0), 8.0)
     ms = exact_moment_set(model, A)
-    m2 = build_m2(ms, w) @ np.eye(10)
+    m2 = build_m2(project_moments(ms, np.eye(10)), w)
     sv = np.linalg.svd(m2, compute_uv=False)
     assert sv[2] > 1e-6
     assert sv[3] < 1e-8
@@ -198,7 +197,7 @@ def test_exact_m2_matches_kappa_expansion():
     from nidtopics import compute_weights, moment, moment_vector
     w = compute_weights(gamma_family(1.0), 8.0)
     ms = exact_moment_set(model, A)
-    m2 = build_m2(ms, w) @ np.eye(8)
+    m2 = build_m2(project_moments(ms, np.eye(8)), w)
     m1h = moment_vector(model)
     expected = np.zeros_like(m2)
     for j in range(3):
@@ -214,7 +213,7 @@ def test_whitened_m3_is_fully_symmetric():
         [{0: 2, 1: 1, 2: 1}, {1: 3, 3: 2}, {0: 1, 2: 2, 3: 1}], d=4)
     ms = accumulate(corpus)
     W = np.random.default_rng(7).normal(size=(4, 3))
-    t = build_whitened_m3(ms, Weights(-0.5, -0.3, 0.2), W)
+    t = build_whitened_m3(project_moments(ms, np.eye(4)), Weights(-0.5, -0.3, 0.2), W)
     for p in itertools.permutations((0, 1, 2)):
         assert np.allclose(t, np.transpose(t, p), atol=1e-12)
 
@@ -224,7 +223,7 @@ def test_whitened_m3_composition_identity():
     corpus = corpus_from_docs([{0: 1, 1: 1, 2: 1}], d=3)
     ms = accumulate(corpus)
     eye = np.eye(3)
-    t = build_whitened_m3(ms, Weights(0.0, 0.0, 0.0), eye)
+    t = build_whitened_m3(project_moments(ms, eye), Weights(0.0, 0.0, 0.0), eye)
     expected = np.zeros((3, 3, 3))
     for p in itertools.permutations((0, 1, 2)):
         expected[p] = 1.0 / 6.0
@@ -242,13 +241,14 @@ def test_estimator_consistency_rate():
 
     from nidtopics import compute_weights, whiten
     w = compute_weights(gamma_family(1.0), 1.0)
-    W, _, _ = whiten(build_m2(exact, w), k)
-    exact_t3 = build_whitened_m3(exact, w, W)
+    exact_p = project_moments(exact, np.eye(d))
+    W, _, _ = whiten(build_m2(exact_p, w), k)
+    exact_t3 = build_whitened_m3(exact_p, w, W)
 
     def errors(n_docs, seed):
         corpus, _ = generate(truth, SynthConfig(n_docs, 20, seed=seed))
         ms = accumulate(corpus)
-        t3 = build_whitened_m3(ms, w, W)
+        t3 = build_whitened_m3(project_moments(ms, np.eye(d)), w, W)
         return (np.linalg.norm(ms.m2 @ np.eye(d) - exact.m2 @ np.eye(d)),
                 np.linalg.norm(t3 - exact_t3))
 
@@ -269,4 +269,4 @@ def test_triple_contraction_dimension_check():
     corpus = corpus_from_docs([{0: 1, 1: 1, 2: 1}], d=3)
     ms = accumulate(corpus)
     with pytest.raises(ValueError):
-        ms.triple(np.eye(4), np.eye(4), np.eye(4))
+        ms.triple(np.eye(4))

@@ -93,7 +93,7 @@ def test_short_doc_pipeline_closes_loop():
     from nidtopics import moment
     expected = moment(prior, r)
     eye = np.eye(3)
-    got = ms.triple(eye, eye, eye)[0, 1, 2]
+    got = ms.triple(eye)[0, 1, 2]
     assert got == pytest.approx(expected, abs=3e-3)
 
 
