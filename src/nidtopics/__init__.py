@@ -14,9 +14,8 @@ from .families import (
 from .mcmc import ChainResult, ChainState, posterior_mean_h, run_chain
 from .moments import MomentSet, accumulate, build_m2, build_whitened_m3, exact_moment_set
 from .nid import (
-    NIDModel, centered_moment_matrix, centered_moment_tensor,
-    correlation_profile, ig_mean_correlation_profile, moment, moment_matrix,
-    moment_tensor, moment_vector, sample,
+    NIDModel, correlation_profile, ig_mean_correlation_profile, moment,
+    moment_matrix, moment_tensor, moment_vector, sample,
 )
 from .synth import SynthConfig, TopicAssignment, generate
 from .tuner import TuneCandidate, TuneReport, tune
@@ -32,9 +31,8 @@ __all__ = [
     "parse_family", "psi", "psi_deriv", "stable_family",
     "ChainResult", "ChainState", "posterior_mean_h", "run_chain",
     "MomentSet", "accumulate", "build_m2", "build_whitened_m3", "exact_moment_set",
-    "NIDModel", "centered_moment_matrix", "centered_moment_tensor",
-    "correlation_profile", "ig_mean_correlation_profile", "moment", "moment_matrix",
-    "moment_tensor", "moment_vector", "sample",
+    "NIDModel", "correlation_profile", "ig_mean_correlation_profile", "moment",
+    "moment_matrix", "moment_tensor", "moment_vector", "sample",
     "SynthConfig", "TopicAssignment", "generate",
     "TuneCandidate", "TuneReport", "tune",
     "OmegaSpec", "Weights", "compute_weights", "omega",

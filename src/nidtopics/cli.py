@@ -163,10 +163,10 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_learn(args) -> int:
+    power = PowerMethodConfig(n_iterations=args.iterations, seed=args.seed)
     corpus = nio.read_uci(args.corpus)
     family = parse_family(args.family)
     alpha0 = "fit" if args.alpha0 == "fit" else float(args.alpha0)
-    power = PowerMethodConfig(n_iterations=args.iterations, seed=args.seed)
     model = learn(corpus, family, args.k, alpha0, power)
     nio.write_topic_model(model, args.out)
     eigs = model.diagnostics.get("lambdas", [])

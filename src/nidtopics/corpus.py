@@ -1,8 +1,8 @@
 """Sparse bag-of-words corpora."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -13,7 +13,6 @@ class Corpus:
     """Document collection as a sparse (n_docs, d) count matrix."""
 
     counts: sp.csr_matrix
-    vocab: Optional[List[str]] = None
 
     def __post_init__(self):
         mat = sp.csr_matrix(self.counts)
@@ -26,8 +25,6 @@ class Corpus:
         if mat.nnz and mat.data.min() <= 0:
             raise ValueError("counts must be positive")
         self.counts = mat
-        if self.vocab is not None and len(self.vocab) != self.d:
-            raise ValueError(f"vocabulary has {len(self.vocab)} entries for d={self.d}")
 
     @property
     def n_docs(self) -> int:
@@ -47,23 +44,16 @@ class Corpus:
 
     def subset(self, indices: Sequence[int]) -> "Corpus":
         idx = np.asarray(indices, dtype=int)
-        return Corpus(self.counts[idx], vocab=self.vocab)
+        return Corpus(self.counts[idx])
 
     def permute_vocab(self, perm: Sequence[int]) -> "Corpus":
         """Relabel word ids: new id perm[w] for old id w."""
         perm = np.asarray(perm, dtype=int)
         mat = self.counts.tocoo()
-        new = sp.csr_matrix((mat.data, (mat.row, perm[mat.col])), shape=mat.shape)
-        vocab = None
-        if self.vocab is not None:
-            vocab = [""] * self.d
-            for w, token in enumerate(self.vocab):
-                vocab[perm[w]] = token
-        return Corpus(new, vocab=vocab)
+        return Corpus(sp.csr_matrix((mat.data, (mat.row, perm[mat.col])), shape=mat.shape))
 
 
-def corpus_from_docs(docs: Iterable[dict | Sequence], d: int,
-                     vocab: Optional[List[str]] = None) -> Corpus:
+def corpus_from_docs(docs: Iterable[dict | Sequence], d: int) -> Corpus:
     """Build a corpus from per-document {word_id: count} mappings
     or (word_ids, counts) pairs."""
     rows, cols, data = [], [], []
@@ -76,4 +66,4 @@ def corpus_from_docs(docs: Iterable[dict | Sequence], d: int,
             cols.append(int(w))
             data.append(int(c))
     mat = sp.csr_matrix((data, (rows, cols)), shape=(n, d), dtype=np.int64)
-    return Corpus(mat, vocab=vocab)
+    return Corpus(mat)

@@ -74,6 +74,10 @@ class PowerMethodConfig:
     n_iterations: int = 100
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n_iterations < 1:
+            raise ValueError(f"n_iterations must be at least 1, got {self.n_iterations}")
+
 
 @dataclass
 class DecompositionResult:

@@ -180,7 +180,11 @@ def read_topic_model(path) -> TopicModel:
         family = parse_family(spec)
     except ValueError as exc:
         raise FormatError(f"{path}:{lineno}: {exc}") from None
-    alpha = np.array(_parse(path, fields["alpha"][0], fields["alpha"][1].split("\t"), float))
+    lineno, rest = fields["alpha"]
+    alpha = np.array(_parse(path, lineno, rest.split("\t"), float))
+    if alpha.size != k:
+        raise FormatError(f"{path}:{lineno}: alpha line has {alpha.size} entries, "
+                          f"expected k={k}")
     if len(topics) != k:
         raise FormatError(f"{path}: expected {k} topic lines, found {len(topics)}")
     for lineno, column in topics:
@@ -219,5 +223,8 @@ def read_ground_truth(path) -> List[TopicAssignment]:
                 raise FormatError(f"{path}:{lineno}: expected 3 columns")
             h = np.array(_parse(path, lineno, parts[1].split(","), float))
             zeta = np.array(_parse(path, lineno, parts[2].split(","), int), dtype=int)
-            out.append(TopicAssignment(h=h, zeta=zeta))
+            try:
+                out.append(TopicAssignment(h=h, zeta=zeta))
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
     return out

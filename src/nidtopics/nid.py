@@ -63,38 +63,22 @@ class NIDModel:
         return float(self.alpha.sum())
 
 
-def _validate_multi_index(model: NIDModel, r) -> np.ndarray:
-    r = np.asarray(r)
-    if r.shape != (model.k,) or not np.issubdtype(r.dtype, np.integer):
-        if r.shape == (model.k,) and np.all(r == np.round(r)):
-            r = r.astype(int)
-        else:
-            raise ValueError("multi-index must be an integer vector of length k")
-    if np.any(r < 0):
-        raise ValueError("multi-index entries must be nonnegative")
-    order = int(r.sum())
-    if not 1 <= order <= 3:
-        raise ValueError(f"moment order must be in 1..3, got {order}")
-    return r
-
-
 def _omega(model: NIDModel, m: int, n: int, p: int) -> float:
     return omega(model.family, model.alpha0, (m, n, p))
 
 
 def moment(model: NIDModel, r) -> float:
-    """Exact moment E[prod_i h_i^{r_i}] of order 1..3 (module docstring)."""
-    r = _validate_multi_index(model, r)
-    n = int(r.sum())
-    alpha = model.alpha
-    prod = float(np.prod(alpha**r))
-    out = _omega(model, n - 1, 1, n - 1) * prod
-    j = int(np.argmax(r))      # the only index that can have r_j >= 2
-    if r[j] >= 2:
-        out -= _omega(model, n - 1, 2, n - 2) * math.comb(int(r[j]), 2) * prod / alpha[j]
-    if r[j] == 3:
-        out += _omega(model, 2, 3, 0) * alpha[j]
-    return out / math.factorial(n - 1)
+    """Exact moment E[prod_i h_i^{r_i}] of order 1..3: one entry of
+    ``moment_vector``, ``moment_matrix`` or ``moment_tensor``."""
+    r = np.asarray(r)
+    if r.shape != (model.k,) or np.any(r != np.round(r)) or np.any(r < 0):
+        raise ValueError("multi-index must be a nonnegative integer vector of length k")
+    r = r.astype(int)
+    order = int(r.sum())
+    if not 1 <= order <= 3:
+        raise ValueError(f"moment order must be in 1..3, got {order}")
+    arrays = (moment_vector, moment_matrix, moment_tensor)
+    return float(arrays[order - 1](model)[tuple(np.repeat(np.arange(model.k), r))])
 
 
 def moment_vector(model: NIDModel) -> np.ndarray:
@@ -122,24 +106,6 @@ def moment_tensor(model: NIDModel) -> np.ndarray:
     out[:, idx, idx] -= pair
     out[idx, idx, idx] += _omega(model, 2, 3, 0) * alpha
     return 0.5 * out
-
-
-def centered_moment_matrix(model: NIDModel, weights) -> np.ndarray:
-    """E[h⊗h] + v E[h]⊗E[h]; diagonal when the weights are correct."""
-    m1 = moment_vector(model)
-    return moment_matrix(model) + weights.v * np.outer(m1, m1)
-
-
-def centered_moment_tensor(model: NIDModel, weights) -> np.ndarray:
-    """Third-order combination that is diagonal under the correct weights."""
-    m1 = moment_vector(model)
-    m2 = moment_matrix(model)
-    t3 = moment_tensor(model)
-    out = t3 + weights.v2 * np.einsum("i,j,l->ijl", m1, m1, m1)
-    out += weights.v1 * (np.einsum("ij,l->ijl", m2, m1)
-                         + np.einsum("il,j->ijl", m2, m1)
-                         + np.einsum("jl,i->ijl", m2, m1))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Shared test utilities: finite-difference, moment and density oracles,
-tensor masks."""
+the centred moments of h, tensor masks."""
 import math
 
 import numpy as np
@@ -8,6 +8,7 @@ from scipy.special import gammaln
 from nidtopics import NIDModel, psi, psi_deriv
 from nidtopics.families import GAMMA, INVGAUSS, STABLE, DomainError
 from nidtopics.mcmc import topic_counts
+from nidtopics.moments import build_m2, build_whitened_m3, exact_moment_set, project_moments
 from nidtopics.nid import UnsupportedFamilyError, _require_closed_form
 from nidtopics.quadrature import integrate_semi_infinite
 from nidtopics.weights import tail_cutoff
@@ -47,6 +48,20 @@ def offdiag_tensor(t):
     for i in range(k):
         mask[i, i, i] = False
     return t[mask]
+
+
+def centred_moments(model, weights):
+    """Centred pair and triple moments of h under ``weights``, (k, k) and (k, k, k).
+
+    Built by the centring ``learn`` runs: the exact moments of a topic model
+    whose topics are the unit vectors (A = I_k, so the word moments are the
+    moments of h), projected through I_k and centred by ``build_m2`` and
+    ``build_whitened_m3`` with the identity whitener.  Correct weights make
+    both diagonal.
+    """
+    I = np.eye(model.k)
+    p = project_moments(exact_moment_set(model, I), I)
+    return build_m2(p, weights), build_whitened_m3(p, weights, I)
 
 
 def dirichlet_moment(alpha, r):

@@ -20,11 +20,10 @@ from scipy.stats import kstest
 
 import nidtopics as nt
 from nidtopics.cli import main as cli_main
-from nidtopics.decompose import learn_from_moments
 from nidtopics.tuner import split_corpus
 from nidtopics.util import match_columns
 
-from helpers import offdiag_matrix, offdiag_tensor
+from helpers import centred_moments, offdiag_matrix, offdiag_tensor
 
 
 @contextmanager
@@ -105,10 +104,10 @@ def test_criterion_1b_half_stable_weights_as_documented():
             # the weights exist to make the centered third moment diagonal;
             # v2 = -5/8 (the v2 formula with one sign flipped) does not
             model = nt.NIDModel(family, a0 * np.array([0.25, 0.25, 0.5]))
-            good = nt.centered_moment_tensor(model, w)
+            good = centred_moments(model, w)[1]
             assert np.max(np.abs(offdiag_tensor(good))) < 1e-6
             slipped = nt.Weights(w.v, w.v1, -0.625)
-            bad = nt.centered_moment_tensor(model, slipped)
+            bad = centred_moments(model, slipped)[1]
             assert np.max(np.abs(offdiag_tensor(bad))) > 1e-2
 
 
@@ -123,10 +122,10 @@ def test_criterion_2_pair_sign_resolution():
                        nt.stable_family(0.5)):
             model = nt.NIDModel(family, alpha)
             w = nt.compute_weights(family, model.alpha0)
-            good = nt.centered_moment_matrix(model, w)
+            good = centred_moments(model, w)[0]
             assert np.max(np.abs(offdiag_matrix(good))) < 1e-6
             flipped = nt.Weights(-w.v, w.v1, w.v2)
-            bad = nt.centered_moment_matrix(model, flipped)
+            bad = centred_moments(model, flipped)[0]
             assert np.max(np.abs(offdiag_matrix(bad))) > 1e-2
 
 
@@ -146,7 +145,7 @@ def test_criterion_3_third_order_diagonalization():
         for family, alpha in cases:
             model = nt.NIDModel(family, alpha)
             w = nt.compute_weights(family, model.alpha0)
-            m3 = nt.centered_moment_tensor(model, w)
+            m3 = centred_moments(model, w)[1]
             assert np.max(np.abs(offdiag_tensor(m3))) < 1e-5, family.spec()
 
 

@@ -1,0 +1,7 @@
+import nidtopics
+
+
+def test_every_exported_name_resolves_and_appears_once():
+    names = nidtopics.__all__
+    assert len(names) == len(set(names)), sorted({n for n in names if names.count(n) > 1})
+    assert [n for n in names if not hasattr(nidtopics, n)] == []

@@ -158,6 +158,12 @@ def test_decompose_reports_unconverged_power_iteration():
     assert not decompose(t, PowerMethodConfig(n_iterations=1, seed=0)).converged
 
 
+@pytest.mark.parametrize("n_iterations", [0, -3])
+def test_power_method_refuses_fewer_than_one_iteration(n_iterations):
+    with pytest.raises(ValueError, match="n_iterations"):
+        PowerMethodConfig(n_iterations=n_iterations)
+
+
 def test_decompose_tensor_applications_do_not_grow_with_k(monkeypatch):
     # one orthogonalised loop and one polish over all k columns: no per-component
     # restarts and no deflation

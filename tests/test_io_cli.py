@@ -189,6 +189,23 @@ def test_model_bad_line_names_its_line(tmp_path, line, replacement, lineno):
     assert f"{p}:{lineno}:" in str(exc.value)
 
 
+def test_model_alpha_of_wrong_length_names_its_line(tmp_path):
+    p = tmp_path / "m.tsv"
+    write_topic_model(_model(), p)
+    p.write_text(p.read_text().replace("alpha\t", "alpha\t0.5\t", 1))
+    with pytest.raises(FormatError) as exc:
+        read_topic_model(p)
+    assert f"{p}:5:" in str(exc.value)
+
+
+def test_ground_truth_topic_out_of_range_names_its_line(tmp_path):
+    p = tmp_path / "t.tsv"
+    p.write_text("doc\th\tzeta\n0\t0.5,0.5\t1,0\n1\t0.25,0.75\t0,2\n")
+    with pytest.raises(FormatError) as exc:
+        read_ground_truth(p)
+    assert f"{p}:3:" in str(exc.value)
+
+
 @pytest.mark.parametrize("row", ["0\t0.25,0.75\t0,x\n", "0\t0.25,y\t0,1\n"])
 def test_ground_truth_bad_field_names_its_line(tmp_path, row):
     p = tmp_path / "t.tsv"
@@ -275,6 +292,17 @@ def test_cli_learn_has_no_restarts_option(tmp_path, capsys):
                "--k", "3", "--restarts", "5", "--out", str(tmp_path / "m.tsv")])
     assert rc == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def test_cli_learn_refuses_fewer_than_one_iteration(tmp_path, capsys):
+    corpus_path = str(tmp_path / "c.uci")
+    assert main(["--seed", "7", "generate", "--family", "gamma:1", "--k", "3",
+                 "--d", "40", "--docs", "800", "--len", "30", "--out", corpus_path]) == 0
+    rc = main(["learn", "--corpus", corpus_path, "--family", "gamma:1", "--k", "3",
+               "--alpha0", "1", "--iterations", "0", "--out", str(tmp_path / "m.tsv")])
+    assert rc != 0
+    assert "n_iterations" in capsys.readouterr().err
+    assert not (tmp_path / "m.tsv").exists()
 
 
 def test_cli_learn_stage_error_exit_code(tmp_path, capsys):

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from nidtopics import (
-    NIDModel, OmegaSpec, Weights, centered_moment_matrix,
-    centered_moment_tensor, compute_weights, custom_family, gamma_family,
+    NIDModel, OmegaSpec, Weights, compute_weights, custom_family, gamma_family,
     invgauss_family, omega, stable_family,
 )
 from nidtopics.weights import gamma_closed_form, half_stable_closed_form, omega_result
 
-from helpers import offdiag_matrix, offdiag_tensor
+from helpers import centred_moments, offdiag_matrix, offdiag_tensor
 
 FAMILIES = [gamma_family(1.0), invgauss_family(2.0), stable_family(0.6)]
 
@@ -132,7 +131,7 @@ def test_pair_moment_diagonalizes(family):
     alpha = np.array([2.0, 2.0, 4.0])
     model = NIDModel(family, alpha)
     w = compute_weights(family, model.alpha0)
-    m2 = centered_moment_matrix(model, w)
+    m2 = centred_moments(model, w)[0]
     assert np.max(np.abs(offdiag_matrix(m2))) < 1e-6
 
 
@@ -143,7 +142,7 @@ def test_positive_pair_sign_fails_to_diagonalize():
     model = NIDModel(gamma_family(1.0), alpha)
     w = compute_weights(gamma_family(1.0), model.alpha0)
     wrong = Weights(-w.v, w.v1, w.v2)
-    m2 = centered_moment_matrix(model, wrong)
+    m2 = centred_moments(model, wrong)[0]
     assert np.max(np.abs(offdiag_matrix(m2))) > 1e-2
 
 
@@ -153,7 +152,7 @@ def test_triple_moment_diagonalizes(family):
     alpha = np.array([2.0, 2.0, 4.0])
     model = NIDModel(family, alpha)
     w = compute_weights(family, model.alpha0)
-    m3 = centered_moment_tensor(model, w)
+    m3 = centred_moments(model, w)[1]
     assert np.max(np.abs(offdiag_tensor(m3))) < 1e-6
 
 
