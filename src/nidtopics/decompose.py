@@ -94,6 +94,11 @@ class DecompositionResult:
         return self.components.shape[0]
 
 
+def improper_columns(A: np.ndarray) -> np.ndarray:
+    """Which columns of A are not probability vectors (to rounding)."""
+    return (A < -1e-12).any(axis=0) | (np.abs(A.sum(axis=0) - 1.0) > 1e-8)
+
+
 @dataclass
 class TopicModel:
     """Column-stochastic topic-word matrix with its simplex prior."""
@@ -110,7 +115,7 @@ class TopicModel:
             raise ValueError("A must be a (d, k) matrix")
         if self.alpha.shape != (self.A.shape[1],):
             raise ValueError("alpha length must match the number of topics")
-        if np.any(self.A < -1e-12) or np.any(np.abs(self.A.sum(axis=0) - 1.0) > 1e-8):
+        if improper_columns(self.A).any():
             raise ValueError("columns of A must be probability vectors")
         if np.any(self.alpha <= 0.0):
             raise ValueError("alpha entries must be positive")

@@ -13,7 +13,6 @@ import logging
 from itertools import combinations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .corpus import Corpus
 from .decompose import TopicModel
@@ -56,8 +55,10 @@ def perplexity(model: TopicModel, corpus: Corpus, n_h_samples: int = 512,
     for start in range(0, corpus.n_docs, _DOC_CHUNK):
         block = corpus.counts[start:start + _DOC_CHUNK]
         scores = block @ log_ah  # (m, S) sums of c_w * log(A h)_w
-        with np.errstate(invalid="ignore"):
-            logp = logsumexp(scores, axis=1) - np.log(n_h_samples)
+        top = scores.max(axis=1)
+        with np.errstate(invalid="ignore"):   # a row that is -inf throughout gives nan
+            scores -= top[:, None]
+            logp = top + np.log(np.exp(scores, out=scores).sum(axis=1)) - np.log(n_h_samples)
         bad = ~np.isfinite(logp)
         if np.any(bad):
             floored += int(bad.sum())

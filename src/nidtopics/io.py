@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import Corpus
-from .decompose import TopicModel
+from .decompose import TopicModel, improper_columns
 from .families import parse_family
 from .synth import TopicAssignment
 
@@ -185,6 +185,8 @@ def read_topic_model(path) -> TopicModel:
     if alpha.size != k:
         raise FormatError(f"{path}:{lineno}: alpha line has {alpha.size} entries, "
                           f"expected k={k}")
+    if np.any(alpha <= 0.0):
+        raise FormatError(f"{path}:{lineno}: alpha entries must be positive")
     if len(topics) != k:
         raise FormatError(f"{path}: expected {k} topic lines, found {len(topics)}")
     for lineno, column in topics:
@@ -192,6 +194,9 @@ def read_topic_model(path) -> TopicModel:
             raise FormatError(f"{path}:{lineno}: topic line has {len(column)} entries, "
                               f"expected d={d}")
     A = np.column_stack([column for _, column in topics])
+    bad = np.flatnonzero(improper_columns(A))
+    if bad.size:
+        raise FormatError(f"{path}:{topics[bad[0]][0]}: topic line is not a probability vector")
     return TopicModel(A=A, alpha=alpha, family=family)
 
 

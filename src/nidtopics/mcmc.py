@@ -15,10 +15,15 @@ with its prior law tilted to density proportional to z^{n_i} e^{-U z} f_i(z):
     stable:0.5    GIG(n_i - 1/2, 2U, alpha_i^2)
 
 where GIG(p, a, b) has density proportional to x^(p-1) exp(-(a x + b/x) / 2)
-and is drawn by Devroye's vectorised rejection sampler (``nid._gig``).  Each
-step draws U, then z, sets h = z / T, and resamples every topic assignment
-from its multinomial full conditional.  Every update is an exact conditional
-draw, so nothing is rejected, nothing needs tuning and the prior density is
+and is drawn by Devroye's vectorised rejection sampler (``nid._gig``).  That
+sampler builds its hat once per step and draws three candidates per
+coordinate in one pass, keeping the first accepted: the first success in a
+run of iid rejection trials has exactly the target law, so the few
+coordinates with none accepted just continue their run in a further pass.
+Each step draws U, then z, sets h = z / T, and resamples every topic
+assignment from its multinomial full conditional, from the document's topic
+rows A[w] gathered once per chain.  Every update is an exact conditional
+draw, so no move is rejected, nothing needs tuning and the prior density is
 never evaluated.  Other families have no closed-form tilted law and raise
 ``UnsupportedFamilyError``.
 """
@@ -74,35 +79,39 @@ def run_chain(doc, model: TopicModel, n_steps: int, burn_in: int,
         raise ValueError("word id out of range")
     k = model.k
     rng = np.random.default_rng(seed)
+    draw_z = nid._tilted_sampler(model.family, model.alpha)
+    a_doc = model.A[doc]      # the document's topic rows, gathered once
 
     z = np.full(k, 1.0 / k)   # start at the uniform h, with T = 1
-    zeta = _gibbs_zeta(doc, z, model.A, rng)
+    total = z.sum()
+    zeta = _gibbs_zeta(a_doc, z, rng)
     states: List[ChainState] = []
     for step in range(n_steps):
         n_i = topic_counts(zeta, k)
-        u = rng.gamma(doc.size, 1.0 / z.sum()) if doc.size else 0.0
-        z = nid._draw_tilted(model.family, model.alpha, n_i, u, rng)
+        u = rng.gamma(doc.size, 1.0 / total) if doc.size else 0.0
+        z = draw_z(n_i, u, rng)
+        total = z.sum()
         # with one topic h is 1 even where a tiny prior draw underflows z to 0
-        h = z / z.sum() if k > 1 else np.ones(1)
-        zeta = _gibbs_zeta(doc, h, model.A, rng)
+        h = z / total if k > 1 else np.ones(1)
+        zeta = _gibbs_zeta(a_doc, h, rng)
         if step >= burn_in and (step - burn_in) % thin == 0:
             states.append(ChainState(h=h, zeta=zeta, step=step))
     return ChainResult(states=states)
 
 
-def _gibbs_zeta(doc: np.ndarray, h: np.ndarray, A: np.ndarray,
-                rng: np.random.Generator) -> np.ndarray:
-    """Resample every topic assignment from its multinomial full conditional."""
-    probs = h[None, :] * A[doc, :]
+def _gibbs_zeta(a_doc: np.ndarray, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Resample every topic assignment from its multinomial full conditional;
+    ``a_doc`` holds the topic row A[w] of each word w of the document."""
+    probs = h * a_doc
     cum = np.cumsum(probs, axis=1)
     total = cum[:, -1]
-    if np.any(total <= 0.0):
+    bad = total <= 0.0
+    if bad.any():
         # word has zero mass under every topic at this h; fall back to uniform
-        bad = total <= 0.0
         probs[bad] = 1.0
         cum = np.cumsum(probs, axis=1)
         total = cum[:, -1]
-    r = rng.random(doc.size) * total
+    r = rng.random(total.size) * total
     return (cum < r[:, None]).sum(axis=1)
 
 

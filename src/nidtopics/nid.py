@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -134,76 +135,112 @@ def _draw_unnormalized(family: IDFamily, alpha: np.ndarray,
     raise UnsupportedFamilyError("no sampler for custom families (exponent-only spec)")
 
 
+# Candidates drawn per entry in one rejection pass of ``_gig``.  Devroye's
+# hat accepts about 85% of candidates at the chain's parameters, so three
+# leave about 0.3% of entries unaccepted and one pass serves most k = 20 draws.
+_GIG_CANDIDATES = 3
+# Row 0 of the hat's (2, n) arrays is the right tangent point t, row 1 the
+# left one s.  The log-density drops by alpha (cosh 1 - 1) + lam * _DROP_LAM
+# from its mode to y = +1 and y = -1; where that drop is steep (above 2) the
+# tangent points are sqrt(_STEEP_NUM / (alpha * _STEEP_ALPHA + lam)).
+_COSH1 = math.cosh(1.0)
+_DROP_LAM = np.array([[math.e - 2.0], [1.0 / math.e]])
+_STEEP_NUM = np.array([[2.0], [4.0]])
+_STEEP_ALPHA = np.array([[1.0], [_COSH1]])
+_RIGHT_LEFT = np.array([[1.0], [-1.0]])
+
+
+def _log_kernel(y, alpha, lam):
+    """The log-density of y = log(x / mode scale), 0 at its mode y = 0."""
+    return -alpha * (np.cosh(y) - 1.0) - lam * (np.expm1(y) - y)
+
+
 def _gig(p, a, b, rng: np.random.Generator) -> np.ndarray:
-    """One GIG(p, a, b) draw per entry of the broadcast 1-d parameters.
+    """One GIG(p, a, b) draw per entry of the 1-d ``p``; ``a`` and ``b`` are
+    scalars or of p's shape.
 
     GIG(p, a, b) has density proportional to x^(p-1) exp(-(a x + b / x) / 2)
     with a, b > 0.  Devroye's rejection sampler (Stat. Comput. 2014): with
     lam = |p| and omega = sqrt(a b), the log-density of y = log(x / mode
-    scale) is the concave ``log_kernel`` below, bounded by 0 between two
-    tangent points and by the tangent lines outside them.  Each pass redraws
-    only the entries still rejected.  Negative p uses GIG(p, a, b) =
-    1 / GIG(-p, b, a).
+    scale) is the concave ``_log_kernel``, bounded by 0 between two tangent
+    points t and -s and by the tangent lines outside them.  The hat is built
+    once per call, the two tangent points as the two rows of one array.  Each
+    pass draws ``_GIG_CANDIDATES`` candidates per entry and keeps the first
+    accepted one; the entries with none accepted get further passes.  That is
+    one run of iid rejection trials cut into blocks, and the first success in
+    such a run has exactly the target law, so every draw is exact.  Negative
+    p uses GIG(p, a, b) = 1 / GIG(-p, b, a).
     """
-    p, a, b = np.broadcast_arrays(np.asarray(p, dtype=float), a, b)
+    p = np.asarray(p, dtype=float)
     lam = np.abs(p)
-    omega = np.sqrt(a * b)
-    root = np.hypot(lam, omega) + lam
-    alpha = omega * omega / root          # sqrt(lam^2 + omega^2) - lam
-
-    def log_kernel(y, alpha, lam):        # 0 at its mode y = 0
-        return -alpha * (np.cosh(y) - 1.0) - lam * (np.expm1(y) - y)
-
-    at1, at_minus1 = -log_kernel(1.0, alpha, lam), -log_kernel(-1.0, alpha, lam)
+    ab = a * b
+    root = np.sqrt(lam * lam + ab) + lam
+    alpha = ab / root                     # sqrt(lam^2 + omega^2) - lam
+    drop = alpha * (_COSH1 - 1.0) + lam * _DROP_LAM
+    shallow = np.empty_like(drop)
     with np.errstate(divide="ignore", over="ignore"):   # in branches np.where drops
-        t = np.where(at1 > 2.0, np.sqrt(2.0 / (alpha + lam)),
-                     np.where(at1 < 0.5, np.log(4.0 / (alpha + 2.0 * lam)), 1.0))
-        s = np.where(at_minus1 > 2.0, np.sqrt(4.0 / (alpha * math.cosh(1.0) + lam)),
-                     np.where(at_minus1 < 0.5, np.minimum(1.0 / lam, np.log1p(
-                         1.0 / alpha + np.sqrt(1.0 / alpha**2 + 2.0 / alpha))), 1.0))
-    eta = -log_kernel(t, alpha, lam)      # minus the log-density and its slope at t
-    zeta = alpha * np.sinh(t) + lam * np.expm1(t)
-    theta = -log_kernel(-s, alpha, lam)   # the same at -s, slope sign flipped
-    xi = alpha * np.sinh(s) - lam * np.expm1(-s)
-    r, pl = 1.0 / zeta, 1.0 / xi              # masses of the right and left tails
-    t_in, s_in = t - r * eta, s - pl * theta  # the hat is 1 on [-s_in, t_in]
+        steep = np.sqrt(_STEEP_NUM / (alpha * _STEEP_ALPHA + lam))
+        np.log(4.0 / (alpha + 2.0 * lam), out=shallow[0])
+        inv_alpha = 1.0 / alpha
+        np.minimum(1.0 / lam, np.log1p(inv_alpha + np.sqrt(inv_alpha * (inv_alpha + 2.0))),
+                   out=shallow[1])
+    ts = _RIGHT_LEFT * np.where(drop > 2.0, steep, np.where(drop < 0.5, shallow, 1.0))  # t, -s
+    # minus 1 / the log-density's slope at t and -s, and where each tangent
+    # line there reaches the hat's flat level 0
+    inv_slope = 1.0 / (alpha * np.sinh(ts) + lam * np.expm1(ts))   # r, -pl
+    ends = ts + _log_kernel(ts, alpha, lam) * inv_slope              # t_in, -s_in
+    t_in, s_in = ends[0], -ends[1]        # the hat is 1 on [-s_in, t_in]
+    r, pl = inv_slope[0], -inv_slope[1]   # masses of the right and left tails
     q = t_in + s_in
-    hat = np.stack([alpha, lam, t, s, eta, zeta, theta, xi, t_in, s_in, q, r, pl])
+    hat = (alpha, lam, t_in, s_in, r, pl, q, q + r)
 
-    y = np.empty(lam.size)
-    todo = np.arange(lam.size)
+    y, ok = _gig_pass(hat, rng)
+    todo = (~ok).nonzero()[0]
     while todo.size:
-        alpha, lam, t, s, eta, zeta, theta, xi, t_in, s_in, q, r, pl = hat
-        u, v, w = rng.random((3, todo.size))
-        u *= q + r + pl
-        cand = np.where(u < q, q * v - s_in,
-                        np.where(u < q + r, t_in - r * np.log(v), pl * np.log(v) - s_in))
-        log_hat = np.where(cand > t_in, -eta - zeta * (cand - t),
-                           np.where(cand < -s_in, xi * (cand + s) - theta, 0.0))
-        ok = np.log(w) + log_hat <= log_kernel(cand, alpha, lam)
-        y[todo[ok]] = cand[ok]
-        todo, hat = todo[~ok], hat[:, ~ok]
+        y[todo], ok = _gig_pass([x[todo] for x in hat], rng)
+        todo = todo[~ok]
     # the mode scale of GIG(|p|, a, b) is root / a; of its inverse, b / root
-    ey = np.exp(y)
-    return np.where(p < 0.0, b / (root * ey), root * ey / a)
+    x = root * np.exp(y)
+    return np.where(p < 0.0, b / x, x / a)
 
 
-def _draw_tilted(family: IDFamily, alpha: np.ndarray, n: np.ndarray, U: float,
-                 rng: np.random.Generator) -> np.ndarray:
-    """One unnormalized vector z with z_i drawn from its prior law tilted to
-    density proportional to z^{n_i} exp(-U z) f_i(z).
+def _gig_pass(hat, rng: np.random.Generator):
+    """``_GIG_CANDIDATES`` candidates per entry from Devroye's hat: the first
+    accepted one of each entry, and whether there was one."""
+    alpha, lam, t_in, s_in, r, pl, q, qr = hat
+    u, v, w = rng.random((3, _GIG_CANDIDATES, q.size))
+    u *= qr + pl
+    log_v = np.log(v)
+    flat = u < q                          # and then u is uniform on [0, q)
+    cand = np.where(flat, u - s_in, np.where(u < qr, t_in - r * log_v, pl * log_v - s_in))
+    # the log-hat is 0 on the flat part and log v at a tail candidate
+    ok = np.log(w) + np.where(flat, 0.0, log_v) <= _log_kernel(cand, alpha, lam)
+    first = ok.argmax(axis=0)
+    cols = np.arange(q.size)
+    return cand[first, cols], ok[first, cols]
+
+
+def _tilted_sampler(family: IDFamily, alpha: np.ndarray) -> Callable:
+    """``draw(n, U, rng)``: one unnormalized vector z with z_i drawn from its
+    prior law tilted to density proportional to z^{n_i} exp(-U z) f_i(z).
 
     These are the laws of z given word-topic counts n and the latent U of the
     normalized-random-measure augmentation; with n = 0 and U = 0 they are the
-    prior.  Defined for the families with closed-form marginals.
+    prior.  Defined for the families with closed-form marginals.  The terms
+    that depend only on the prior (alpha^2, lam^2) are computed here, once.
     """
     _require_closed_form(family)
     if family.kind == GAMMA:
-        return rng.gamma(alpha + n, 1.0 / (family.param + U))
-    if U == 0.0:   # no words; stable:0.5 would need GIG with a = 0
-        return _draw_unnormalized(family, alpha, rng, 1)[0]
-    a = 2.0 * U + (family.param ** 2 if family.kind == INVGAUSS else 0.0)
-    return _gig(n - 0.5, a, alpha * alpha, rng)
+        rate = family.param
+        return lambda n, U, rng: rng.gamma(alpha + n, 1.0 / (rate + U))
+    b = alpha * alpha
+    a0 = family.param ** 2 if family.kind == INVGAUSS else 0.0
+
+    def draw(n, U, rng):
+        if U == 0.0:   # no words; stable:0.5 would need GIG with a = 0
+            return _draw_unnormalized(family, alpha, rng, 1)[0]
+        return _gig(n - 0.5, 2.0 * U + a0, b, rng)
+    return draw
 
 
 _MAX_RETRIES = 50

@@ -31,6 +31,20 @@ def test_perplexity_at_least_one_and_finite():
     assert p >= 1.0
 
 
+def test_perplexity_matches_a_per_document_logsumexp():
+    # the reference: each document's log-mean over the same prior draws by
+    # scipy's logsumexp, one document at a time
+    from scipy.special import logsumexp
+    from nidtopics.evaluate import prior_samples
+    truth, corpus = _synthetic(seed=4, n_docs=50)
+    h = prior_samples(truth, 64, np.random.default_rng(3))
+    log_ah = np.log(truth.A @ h.T)
+    counts = corpus.counts.toarray()
+    logp = sum(logsumexp(row @ log_ah) - np.log(64) for row in counts)
+    expected = np.exp(-logp / counts.sum())
+    assert perplexity(truth, corpus, n_h_samples=64, seed=3) == pytest.approx(expected, rel=1e-12)
+
+
 def test_truth_beats_shuffled_columns():
     wins = 0
     for seed in range(5):

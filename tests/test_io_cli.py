@@ -198,6 +198,28 @@ def test_model_alpha_of_wrong_length_names_its_line(tmp_path):
     assert f"{p}:5:" in str(exc.value)
 
 
+def test_model_nonpositive_alpha_names_its_line(tmp_path):
+    p = tmp_path / "m.tsv"
+    write_topic_model(_model(), p)
+    p.write_text(p.read_text().replace("alpha\t0.4\t", "alpha\t-1.0\t", 1))
+    with pytest.raises(FormatError) as exc:
+        read_topic_model(p)
+    assert f"{p}:5:" in str(exc.value)
+
+
+@pytest.mark.parametrize("scale", [-1.0, 2.0])   # a negative column; one summing to 2
+def test_model_improper_topic_names_its_line(tmp_path, scale):
+    model = _model()
+    p = tmp_path / "m.tsv"
+    write_topic_model(model, p)
+    lines = p.read_text().splitlines()
+    lines[6] = "topic\t" + "\t".join(str(scale * float(x)) for x in model.A[:, 1])
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as exc:
+        read_topic_model(p)
+    assert f"{p}:7:" in str(exc.value)
+
+
 def test_ground_truth_topic_out_of_range_names_its_line(tmp_path):
     p = tmp_path / "t.tsv"
     p.write_text("doc\th\tzeta\n0\t0.5,0.5\t1,0\n1\t0.25,0.75\t0,2\n")

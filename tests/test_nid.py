@@ -338,6 +338,45 @@ def test_gig_sampler_matches_scipy_geninvgauss(p, a, b):
     assert kstest(x, ref.cdf).pvalue > 1e-3
 
 
+def test_gig_matches_scipy_geninvgauss_per_entry_of_mixed_parameters():
+    # the shapes the chain passes: p = n - 1/2 of both signs, a = 2U + lam^2
+    # a scalar, b = alpha^2 a vector; each entry keeps its own law
+    from scipy.stats import geninvgauss, kstest
+    p = np.array([-0.5, 0.5, 3.5, -0.5, 19.5, 1.5])
+    b = np.array([0.0025, 0.0016, 0.01, 1.0, 0.0025, 4.0])
+    a, n = 1016.0, 5000
+    x = _gig(np.tile(p, n), a, np.tile(b, n), np.random.default_rng(7)).reshape(n, p.size)
+    for j in range(p.size):
+        ref = geninvgauss(p[j], math.sqrt(a * b[j]), scale=math.sqrt(b[j] / a))
+        assert kstest(x[:, j], ref.cdf).pvalue > 1e-3, (p[j], b[j])
+
+
+class _CountingGenerator:
+    """A generator that counts its ``random`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.random(*args, **kwargs)
+
+
+def test_gig_takes_one_rejection_pass_for_most_tilted_draws():
+    # counts of a 100-word document and latent U as the chain meets them at
+    # invgauss:4, k = 20, alpha0 = 1; candidates come in blocks, so most
+    # calls finish in one pass
+    rng = np.random.default_rng(3)
+    prior = NIDModel(invgauss_family(4.0), rng.dirichlet(np.full(20, 5.0)))
+    draw = nid._tilted_sampler(prior.family, prior.alpha)
+    counting = _CountingGenerator(np.random.default_rng(4))
+    for _ in range(500):
+        h = sample(prior, rng)
+        z = draw(rng.multinomial(100, h), rng.uniform(200.0, 1000.0), counting)
+        assert z.shape == (20,) and np.all(z > 0.0)
+    assert counting.calls / 500 <= 1.2
+
+
 # ---------------------------------------------------------------------------
 # density
 
