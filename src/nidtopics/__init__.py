@@ -8,7 +8,7 @@ from .decompose import (
 )
 from .evaluate import perplexity, pmi, top_words
 from .families import (
-    IDFamily, custom_family, gamma_family, invgauss_family, parse_family,
+    IDFamily, gamma_family, invgauss_family, parse_family,
     psi, psi_deriv, stable_family,
 )
 from .mcmc import ChainResult, ChainState, posterior_mean_h, run_chain
@@ -27,7 +27,7 @@ __all__ = [
     "RankDeficiencyError", "StageError", "TopicModel",
     "decompose", "learn", "recover", "whiten",
     "perplexity", "pmi", "top_words",
-    "IDFamily", "custom_family", "gamma_family", "invgauss_family",
+    "IDFamily", "gamma_family", "invgauss_family",
     "parse_family", "psi", "psi_deriv", "stable_family",
     "ChainResult", "ChainState", "posterior_mean_h", "run_chain",
     "MomentSet", "accumulate", "build_m2", "build_whitened_m3", "exact_moment_set",

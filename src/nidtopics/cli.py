@@ -154,11 +154,7 @@ def _cmd_generate(args) -> int:
 def _cmd_weights(args) -> int:
     family = parse_family(args.family)
     w = compute_weights(family, args.alpha0)
-    err = w.err or (float("nan"),) * 3
-    text = ("v\tv1\tv2\tv_err\tv1_err\tv2_err\n"
-            f"{w.v:.6f}\t{w.v1:.6f}\t{w.v2:.6f}\t"
-            f"{err[0]:.2e}\t{err[1]:.2e}\t{err[2]:.2e}\n")
-    _emit(text, args.out)
+    _emit(f"v\tv1\tv2\n{w.v:.6f}\t{w.v1:.6f}\t{w.v2:.6f}\n", args.out)
     return 0
 
 

@@ -4,7 +4,9 @@ Every distribution in this toolkit is represented by the base exponent
 ``psi`` with ``E[exp(-u z)] = exp(-a * psi(u))`` for a coordinate with
 concentration ``a``.  The concentration multiplier is always applied by the
 caller; the functions here return the base exponent and its first three
-derivatives in closed form.
+derivatives in closed form.  The three families below are the only ones:
+each has exact samplers (``nid``) and closed-form omega integrals
+(``weights``).
 
 Built-in families:
 
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.special import gamma as _gamma_fn
@@ -29,9 +30,8 @@ from scipy.special import gamma as _gamma_fn
 GAMMA = "gamma"
 STABLE = "stable"
 INVGAUSS = "invgauss"
-CUSTOM = "custom"
 
-_BUILTIN_KINDS = (GAMMA, STABLE, INVGAUSS)
+_KINDS = (GAMMA, STABLE, INVGAUSS)
 
 
 class FamilyError(ValueError):
@@ -47,16 +47,11 @@ class IDFamily:
     """A positive infinitely divisible law, described only through its exponent.
 
     ``param`` is the scale ``lam`` for gamma, the index ``gam`` for stable and
-    the shape ``lam`` for inverse Gaussian.  Custom families supply callbacks
-    for the exponent and its first three derivatives; each callback must
-    accept and return numpy arrays.
+    the shape ``lam`` for inverse Gaussian.
     """
 
     kind: str
-    param: Optional[float] = None
-    psi_fn: Optional[Callable] = None
-    deriv_fns: Optional[Tuple[Callable, Callable, Callable]] = None
-    label: str = ""
+    param: float
 
     def __post_init__(self):
         if self.kind == GAMMA or self.kind == INVGAUSS:
@@ -65,25 +60,12 @@ class IDFamily:
         elif self.kind == STABLE:
             if self.param is None or not 0.0 < self.param < 1.0:
                 raise FamilyError(f"stable index must lie in (0, 1), got {self.param}")
-        elif self.kind == CUSTOM:
-            if self.psi_fn is None or self.deriv_fns is None or len(self.deriv_fns) != 3:
-                raise FamilyError("custom family needs psi_fn and three derivative callbacks")
         else:
             raise FamilyError(f"unknown family kind {self.kind!r}")
 
-    @property
-    def singular_at_zero(self) -> bool:
-        """True when the exponent's derivatives blow up at u = 0."""
-        return self.kind == STABLE or self.kind == CUSTOM
-
     def spec(self) -> str:
         """Config-string form, e.g. ``gamma:1.0``."""
-        if self.kind == CUSTOM:
-            return self.label or "custom"
         return f"{self.kind}:{self.param:g}"
-
-    def __repr__(self):  # keep param visible but skip the callback noise
-        return f"IDFamily({self.spec()})"
 
 
 def gamma_family(lam: float = 1.0) -> IDFamily:
@@ -98,10 +80,6 @@ def invgauss_family(lam: float) -> IDFamily:
     return IDFamily(INVGAUSS, float(lam))
 
 
-def custom_family(psi_fn, d1, d2, d3, label: str = "custom") -> IDFamily:
-    return IDFamily(CUSTOM, None, psi_fn, (d1, d2, d3), label)
-
-
 def stable_constant(gam: float) -> float:
     """Normalization constant of the stable exponent."""
     return _gamma_fn(1.0 - gam) / (math.sqrt(2.0 * math.pi) * gam)
@@ -111,8 +89,8 @@ def parse_family(text: str) -> IDFamily:
     """Parse a ``kind:param`` config string into a family."""
     name, sep, rest = text.partition(":")
     name = name.strip().lower()
-    if name not in _BUILTIN_KINDS:
-        raise FamilyError(f"unknown family {name!r}; expected one of {_BUILTIN_KINDS}")
+    if name not in _KINDS:
+        raise FamilyError(f"unknown family {name!r}; expected one of {_KINDS}")
     if not sep or not rest.strip():
         raise FamilyError(f"family spec {text!r} is missing its parameter")
     try:
@@ -127,7 +105,7 @@ def parse_family(text: str) -> IDFamily:
 
 
 def _check_u(family: IDFamily, u: np.ndarray, positive: bool) -> None:
-    if positive and family.singular_at_zero:
+    if positive and family.kind == STABLE:
         if np.any(u <= 0.0):
             raise DomainError("derivative evaluation requires u > 0 for this family")
     elif np.any(u < 0.0):
@@ -142,12 +120,10 @@ def psi(family: IDFamily, u) -> np.ndarray:
         return np.log1p(u / family.param)
     elif family.kind == STABLE:
         return stable_constant(family.param) * np.power(u, family.param)
-    elif family.kind == INVGAUSS:
+    else:
         # algebraically sqrt(2u + lam^2) - lam, in a form without cancellation
         lam = family.param
         return 2.0 * u / (np.sqrt(2.0 * u + lam * lam) + lam)
-    else:
-        return np.asarray(family.psi_fn(u), dtype=float)
 
 
 def psi_deriv(family: IDFamily, u, order: int) -> np.ndarray:
@@ -168,8 +144,6 @@ def psi_deriv(family: IDFamily, u, order: int) -> np.ndarray:
             return c * g * (g - 1.0) * np.power(u, g - 2.0)
         else:
             return c * g * (g - 1.0) * (g - 2.0) * np.power(u, g - 3.0)
-    elif family.kind == INVGAUSS:
+    else:
         s = 2.0 * u + family.param**2
         return {1: s**-0.5, 2: -(s**-1.5), 3: 3.0 * s**-2.5}[order]
-    else:
-        return np.asarray(family.deriv_fns[order - 1](u), dtype=float)

@@ -14,10 +14,10 @@ of ``weights``; with n = sum(r),
                                - omega(n-1,2,n-2) sum_j C(r_j,2) alpha^r / alpha_j
                                + omega(2,3,0) sum_j [r_j = 3] alpha_j,
 
-so E[h], E[h⊗h] and E[h⊗h⊗h] take six one-dimensional quadratures in all,
-whatever k.  A Laplace exponent has psi', psi''' > 0 > psi'', so every term
-is nonnegative and nothing cancels.  Sampling uses exact per-family
-samplers.
+so E[h], E[h⊗h] and E[h⊗h⊗h] take the six closed-form omega integrals of
+``weights`` in all, whatever k.  A Laplace exponent has psi', psi''' > 0 >
+psi'', so every term is nonnegative and nothing cancels.  Sampling uses
+exact per-family samplers.
 """
 from __future__ import annotations
 
@@ -28,8 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .families import GAMMA, INVGAUSS, STABLE, IDFamily, stable_constant
-from .quadrature import integrate_semi_infinite
-from .weights import _LOG_FLOOR, omega
+from .weights import omega
 
 
 class SamplerError(RuntimeError):
@@ -128,11 +127,9 @@ def _draw_unnormalized(family: IDFamily, alpha: np.ndarray,
     if family.kind == INVGAUSS:
         lam = family.param
         return rng.wald(alpha / lam, alpha**2, size=(n, alpha.size))
-    if family.kind == STABLE:
-        gam = family.param
-        scale = (alpha * stable_constant(gam)) ** (1.0 / gam)
-        return scale * _positive_stable(rng, gam, (n, alpha.size))
-    raise UnsupportedFamilyError("no sampler for custom families (exponent-only spec)")
+    gam = family.param
+    scale = (alpha * stable_constant(gam)) ** (1.0 / gam)
+    return scale * _positive_stable(rng, gam, (n, alpha.size))
 
 
 # Candidates drawn per entry in one rejection pass of ``_gig``.  Devroye's
@@ -306,47 +303,31 @@ def ig_mean_correlation_profile(alpha, lam: float):
 
     Coordinate i is drawn from an inverse Gaussian with mean alpha[i] and
     common shape lam, so the coordinates do not share one base exponent and
-    positive pairwise correlations become possible.  Computed exactly by
-    quadrature over the per-coordinate exponents.
+    positive pairwise correlations become possible.  E[h] and E[h⊗h] are
+    computed as one vector quadrature over the per-coordinate exponents.
     """
+    # imported here so that importing the package does not load scipy.integrate
+    from scipy.integrate import quad_vec
+
     alpha = np.asarray(alpha, dtype=float)
     if np.any(alpha <= 0.0) or lam <= 0.0:
         raise ValueError("means and shape must be positive")
     k = alpha.size
+    diag = np.arange(k)
+    upper = np.triu_indices(k)
 
-    def phi_total(u):
-        out = 0.0
-        for a in alpha:
-            out = out + (lam / a) * (np.sqrt(1.0 + 2.0 * a * a * u / lam) - 1.0)
-        return out
+    def integrands(u):
+        # coordinate i has exponent (lam / a_i) (r_i - 1): first derivative
+        # a_i / r_i, second -(a_i^3 / lam) / r_i^3
+        r = np.sqrt(1.0 + 2.0 * alpha * alpha * u / lam)
+        d1 = alpha / r
+        pair = u * np.outer(d1, d1)
+        pair[diag, diag] += u * alpha**3 / (lam * r**3)
+        weight = math.exp(-float(np.sum(lam / alpha * (r - 1.0))))
+        return weight * np.concatenate([d1, pair[upper]])
 
-    def dphi(u, a):
-        return a / np.sqrt(1.0 + 2.0 * a * a * u / lam)
-
-    def d2phi(u, a):
-        return -(a**3 / lam) * (1.0 + 2.0 * a * a * u / lam) ** -1.5
-
-    target = -_LOG_FLOOR
-    u_max = 1.0
-    for _ in range(60):
-        if phi_total(u_max) >= target:
-            break
-        u_max *= 4.0
-    else:
-        u_max = None
-
-    def integ(f):
-        return integrate_semi_infinite(
-            lambda u: f(u) * np.exp(-phi_total(u)), u_max=u_max).value
-
-    e1 = np.array([integ(lambda u, a=a: dphi(u, a)) for a in alpha])
+    vals = quad_vec(integrands, 0.0, np.inf)[0]
     e2 = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            if i == j:
-                val = integ(lambda u, a=alpha[i]: u * (dphi(u, a) ** 2 - d2phi(u, a)))
-            else:
-                val = integ(lambda u, ai=alpha[i], aj=alpha[j]:
-                            u * dphi(u, ai) * dphi(u, aj))
-            e2[i, j] = e2[j, i] = val
-    return _corr_from_first_two(e1, e2)
+    e2[upper] = vals[k:]
+    e2.T[upper] = vals[k:]
+    return _corr_from_first_two(vals[:k], e2)

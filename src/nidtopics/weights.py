@@ -30,23 +30,49 @@ The same integrals give every exact moment of h of order n <= 3 (``nid``):
                                + omega(2,3,0) sum_j [r_j = 3] alpha_j,
 
 so (2, 3, 0), which enters only E[h_i^3], is the one triple the weights skip.
+
+Every omega is a closed form in ``scipy.special``.  Write c_n for the
+constant factor of psi^{(n)}:
+
+* gamma:lam, psi^{(n)} = c_n (lam + u)^-n:
+  omega = c_n lam^(m+1-n-p) B(m+1, n+p+a0-m-1);
+* stable:gam, psi^{(n)} = c_n u^(gam-n) and psi' = C gam u^(gam-1):
+  omega = c_n (C gam)^p Gamma(x) / (gam (a0 C)^x), x = (m+gam-n+p(gam-1)+1)/gam;
+* invgauss:lam, psi^{(n)} = c_n s^(1-2n) with s = sqrt(2u + lam^2), so that
+  u = (s^2 - lam^2) / 2 and du = s ds:
+  omega = c_n 2^-m lam^(2m+1+q) S(a0 lam) with q = 2 - 2n - p, where S is
+  the binomial sum over (s^2 - lam^2)^m of generalised exponential
+  integrals e^x E_{-q-2j}(x) (``expn``, or ``gammaincc`` for negative
+  index).  The sum alternates in sign and its terms need e^x, so past
+  x = a0 lam = ``_HYPERU_FROM`` it is taken in t = s - lam instead, as
+  m! sum_i C(m, i) U(m+1, m+2+q+i, x), every term positive.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
+from scipy.special import expn, gamma, gammaincc, hyperu
 
-from .families import IDFamily, psi, psi_deriv
-from .quadrature import QuadResult, integrate_semi_infinite
+from .families import GAMMA, STABLE, IDFamily, stable_constant
 
 # the (m, n, p) triples the weight formulas and the moments of h need
 ACCEPTED_SPECS = ((0, 1, 0), (1, 1, 1), (2, 2, 1), (1, 2, 0), (2, 1, 2), (2, 3, 0))
 
-# exp(-a0 * psi) below this is treated as zero when choosing the cutoff
-_LOG_FLOOR = math.log(1e-30)
+# the five the centering triple needs, in the order ``compute_weights`` reads them
+_WEIGHT_SPECS = ACCEPTED_SPECS[:5]
+
+# c_n of the gamma and invgauss derivatives psi', psi'', psi'''
+_GAMMA_C = (1.0, -1.0, 2.0)
+_INVGAUSS_C = (1.0, -1.0, 3.0)
+
+# a0 * lam past which the invgauss sum is taken in hyperu terms.  The
+# alternating sum loses about 6e-12 relative at x = 100 and 1.6e-10 at 300
+# (its e^x overflows near 700); hyperu is off by 1e-8 at x = 10 and within
+# 1e-15 from x = 100 up.
+_HYPERU_FROM = 100.0
 
 
 @dataclass(frozen=True)
@@ -70,78 +96,60 @@ class Weights:
     v: float
     v1: float
     v2: float
-    err: Optional[Tuple[float, float, float]] = None
 
     def __post_init__(self):
         if not all(np.isfinite([self.v, self.v1, self.v2])):
             raise ValueError("weights must be finite")
 
 
-def tail_cutoff(family: IDFamily, alpha0: float) -> float | None:
-    """Point past which exp(-alpha0 * psi) is negligible, or None if unreached."""
-    target = -_LOG_FLOOR / alpha0
-    u = 1.0
-    for _ in range(60):
-        if psi(family, u) >= target:
-            return float(u)
-        u *= 4.0
-        if u > 1e15:
-            break
-    return None
+def _scaled_expn(r: int, x: float) -> float:
+    """e^x E_r(x) for any integer r, with E_r(x) = Gamma(1-r, x) / x^(1-r) for r < 0."""
+    if r >= 0:
+        return math.exp(x) * float(expn(r, x))
+    return math.exp(x) * float(gamma(1 - r) * gammaincc(1 - r, x)) / x ** (1 - r)
 
 
-def omega_result(family: IDFamily, alpha0: float, spec) -> QuadResult:
-    """Adaptive quadrature of one omega integral, with error estimate."""
+def _invgauss_sum(m: int, q: int, x: float) -> float:
+    """S(x) of the invgauss omega: the integral over s > lam of
+    (s^2 - lam^2)^m s^q exp(-a0 (s - lam)), divided by lam^(2m+1+q)."""
+    if x <= _HYPERU_FROM:
+        return sum(math.comb(m, j) * (-1) ** (m - j) * _scaled_expn(-q - 2 * j, x)
+                   for j in range(m + 1))
+    return math.factorial(m) * sum(math.comb(m, i) * float(hyperu(m + 1, m + 2 + q + i, x))
+                                   for i in range(m + 1))
+
+
+def omega(family: IDFamily, alpha0: float, spec) -> float:
+    """omega(m, n, p) of ``family`` at total concentration ``alpha0``, in closed form."""
     if not isinstance(spec, OmegaSpec):
         spec = OmegaSpec(*spec)
     if alpha0 <= 0 or not np.isfinite(alpha0):
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
     m, n, p = spec.as_tuple()
-
-    def integrand(u):
-        out = np.exp(-alpha0 * psi(family, u)) * psi_deriv(family, u, n)
-        if m:
-            out = out * u**m
-        if p:
-            out = out * psi_deriv(family, u, 1) ** p
-        return out
-
-    return integrate_semi_infinite(
-        integrand,
-        u_max=tail_cutoff(family, alpha0),
-        singular_origin=family.singular_at_zero,
-    )
-
-
-def omega(family: IDFamily, alpha0: float, spec) -> float:
-    return omega_result(family, alpha0, spec).value
+    if family.kind == GAMMA:
+        # B(m+1, b) = m! / (b (b+1) ... (b+m)), with b's integer part added last
+        b = alpha0 + (n + p - m - 1)
+        return (_GAMMA_C[n - 1] * family.param ** (m + 1 - n - p)
+                * math.factorial(m) / math.prod(b + i for i in range(m + 1)))
+    if family.kind == STABLE:
+        g = family.param
+        c = stable_constant(g)
+        c_n = c * math.prod(g - i for i in range(n))
+        x = (m + g - n + p * (g - 1.0) + 1.0) / g
+        return c_n * (c * g) ** p * float(gamma(x)) / (g * (alpha0 * c) ** x)
+    lam = family.param
+    q = 2 - 2 * n - p
+    return (_INVGAUSS_C[n - 1] * 0.5**m * lam ** (2 * m + 1 + q)
+            * _invgauss_sum(m, q, alpha0 * lam))
 
 
 def compute_weights(family: IDFamily, alpha0: float) -> Weights:
     """The centering triple (v, v1, v2) for one family at total concentration a0."""
-    r010 = omega_result(family, alpha0, (0, 1, 0))
-    r111 = omega_result(family, alpha0, (1, 1, 1))
-    r221 = omega_result(family, alpha0, (2, 2, 1))
-    r120 = omega_result(family, alpha0, (1, 2, 0))
-    r212 = omega_result(family, alpha0, (2, 1, 2))
-
-    w0, w111, w221, w120, w212 = (r.value for r in (r010, r111, r221, r120, r212))
+    w0, w111, w221, w120, w212 = (omega(family, alpha0, s) for s in _WEIGHT_SPECS)
     v = -w111 / w0**2
     v1 = -w221 / (2.0 * w120 * w0)
     v2 = -(0.5 * w212 + 3.0 * v1 * w111 * w0) / w0**3
-
-    # first-order propagation of the quadrature error estimates
-    def rel(r):
-        return r.error / abs(r.value) if r.value else r.error
-
-    e0 = rel(r010)
-    v_err = abs(v) * (rel(r111) + 2 * e0)
-    v1_err = abs(v1) * (rel(r221) + rel(r120) + e0)
-    v2_err = (0.5 * r212.error + 3.0 * (v1_err * abs(w111 * w0)
-              + abs(v1) * (r111.error * abs(w0) + abs(w111) * r010.error))) / abs(w0) ** 3 \
-        + abs(v2) * 3 * e0
-    return Weights(float(v), float(v1), float(v2),
-                   err=(float(v_err), float(v1_err), float(v2_err)))
+    return Weights(float(v), float(v1), float(v2))
 
 
 def gamma_closed_form(alpha0: float) -> Weights:

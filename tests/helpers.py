@@ -1,5 +1,8 @@
 """Shared test utilities: finite-difference, moment and density oracles,
-the centred moments of h, tensor masks."""
+the centred moments of h, tensor masks.
+
+The moment and density oracles integrate with ``quadrature.py`` (in this
+directory), an integrator the package itself does not use."""
 import math
 
 import numpy as np
@@ -10,8 +13,11 @@ from nidtopics.families import GAMMA, INVGAUSS, STABLE, DomainError
 from nidtopics.mcmc import topic_counts
 from nidtopics.moments import build_m2, build_whitened_m3, exact_moment_set, project_moments
 from nidtopics.nid import UnsupportedFamilyError, _require_closed_form
-from nidtopics.quadrature import integrate_semi_infinite
-from nidtopics.weights import tail_cutoff
+
+from quadrature import integrate_semi_infinite
+
+# exp(-a0 * psi) below this is treated as zero when choosing the cutoff
+_LOG_FLOOR = math.log(1e-30)
 
 
 def _length_scale(family, u):
@@ -20,7 +26,7 @@ def _length_scale(family, u):
         return u + family.param
     if family.kind == "invgauss":
         return u + family.param**2 / 2.0
-    return u  # stable and custom exponents are (near) scale-free
+    return u  # stable exponents are scale-free
 
 
 def fd_derivative(family, u, order, scale=None):
@@ -79,6 +85,19 @@ def dirichlet_moment(alpha, r):
     return num / den
 
 
+def tail_cutoff(family, alpha0):
+    """Point past which exp(-alpha0 * psi) is negligible, or None if unreached."""
+    target = -_LOG_FLOOR / alpha0
+    u = 1.0
+    for _ in range(60):
+        if psi(family, u) >= target:
+            return float(u)
+        u *= 4.0
+        if u > 1e15:
+            break
+    return None
+
+
 def reference_moment(model, r):
     """E[prod h_i^{r_i}] by its own quadrature, one integral per multi-index.
 
@@ -103,7 +122,7 @@ def reference_moment(model, r):
 
     return integrate_semi_infinite(
         integrand, u_max=tail_cutoff(family, alpha0),
-        singular_origin=family.singular_at_zero).value
+        singular_origin=family.kind == STABLE).value
 
 
 def check_simplex(h, atol=1e-12):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import nidtopics
 
 
@@ -5,3 +9,13 @@ def test_every_exported_name_resolves_and_appears_once():
     names = nidtopics.__all__
     assert len(names) == len(set(names)), sorted({n for n in names if names.count(n) > 1})
     assert [n for n in names if not hasattr(nidtopics, n)] == []
+
+
+def test_import_loads_no_integrator():
+    # the package evaluates every omega in closed form; scipy.integrate is
+    # imported only inside ig_mean_correlation_profile
+    code = "import sys, nidtopics; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

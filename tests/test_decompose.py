@@ -8,7 +8,7 @@ from scipy.stats import ortho_group
 from nidtopics import (
     NIDModel, PowerMethodConfig, RankDeficiencyError, StageError,
     SynthConfig, TopicModel, accumulate, build_m2, build_whitened_m3,
-    compute_weights, custom_family, decompose, exact_moment_set, gamma_family, generate,
+    compute_weights, decompose, exact_moment_set, gamma_family, generate,
     invgauss_family, learn, moment, moment_vector, recover, stable_family, whiten,
 )
 from nidtopics import weights
@@ -465,23 +465,23 @@ def test_fitted_alpha0_projects_once_and_takes_five_quadratures_per_alpha0(monke
     ms = exact_moment_set(model, A)
     triples, calls, alpha0s = [], [], []
     inner_triple = ms.triple
-    inner_quad = weights.integrate_semi_infinite
+    inner_omega = weights.omega
     inner_weights = decompose_module.compute_weights
 
     def counted_triple(*args):
         triples.append(1)
         return inner_triple(*args)
 
-    def counted_quad(*args, **kwargs):
+    def counted_omega(*args):
         calls.append(1)
-        return inner_quad(*args, **kwargs)
+        return inner_omega(*args)
 
     def recorded_weights(family, alpha0):
         alpha0s.append(alpha0)
         return inner_weights(family, alpha0)
 
     ms.triple = counted_triple
-    monkeypatch.setattr(weights, "integrate_semi_infinite", counted_quad)
+    monkeypatch.setattr(weights, "omega", counted_omega)
     monkeypatch.setattr(decompose_module, "compute_weights", recorded_weights)
     tm = learn_from_moments(ms, family, 3, "fit")
     assert tm.alpha0 == pytest.approx(8.0, rel=0.05)
@@ -498,20 +498,6 @@ def test_fitted_alpha0_refused_for_stable_prior():
     assert exc.value.stage == "recover"
     assert isinstance(exc.value.cause, RecoveryError)
     assert "stable:0.5" in str(exc.value)
-
-
-def test_fitted_alpha0_refused_when_pair_weights_are_flat():
-    # psi = u^0.4 is stable up to scale: -a0 omega(1,2,0) = 0.6 at every a0
-    family = custom_family(lambda u: u ** 0.4, lambda u: 0.4 * u ** -0.6,
-                           lambda u: -0.24 * u ** -1.6, lambda u: 0.384 * u ** -2.6,
-                           label="power:0.4")
-    rng = np.random.default_rng(14)
-    A = rng.dirichlet(np.ones(10) * 0.5, size=3).T
-    with pytest.raises(StageError) as exc:
-        _exact_pipeline(family, np.array([2.0, 2.0, 4.0]), A, alpha0="fit")
-    assert exc.value.stage == "recover"
-    assert isinstance(exc.value.cause, RecoveryError)
-    assert "power:0.4" in str(exc.value)
 
 
 def test_topic_model_validation():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nidtopics import (
-    custom_family, gamma_family, invgauss_family, parse_family, psi,
+    gamma_family, invgauss_family, parse_family, psi,
     psi_deriv, stable_family,
 )
 from nidtopics.families import DomainError, FamilyError, stable_constant
@@ -69,21 +69,6 @@ def test_monotone_and_concave(family):
     assert np.all(np.diff(vals) >= 0)
     assert np.all(psi_deriv(family, U_GRID, 1) > 0)
     assert np.all(psi_deriv(family, U_GRID, 2) <= 0)
-
-
-def test_custom_family_runs_through_fd_check():
-    # a scaled gamma exponent supplied through callbacks
-    fam = custom_family(
-        lambda u: 2.0 * np.log1p(u),
-        lambda u: 2.0 / (1.0 + u),
-        lambda u: -2.0 / (1.0 + u) ** 2,
-        lambda u: 4.0 / (1.0 + u) ** 3,
-        label="2*gamma:1",
-    )
-    for u in (0.1, 1.0, 10.0):
-        for order in (1, 2, 3):
-            assert psi_deriv(fam, u, order) == pytest.approx(
-                fd_derivative(fam, u, order, scale=1.0 + u), rel=1e-5)
 
 
 @given(lam=st.floats(0.1, 10.0), u=st.floats(1e-2, 1e2))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from nidtopics.quadrature import QuadratureError, integrate_semi_infinite
+from quadrature import QuadratureError, integrate_semi_infinite
 
 
 def test_exponential_integral():
