@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import minimize_scalar, nnls
-from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh
 
 from .corpus import Corpus
 from .families import IDFamily
@@ -145,6 +143,8 @@ def whiten(M2, k: int):
     above 1e-10 times the top one.
     Winv_t maps whitened vectors back: Winv_t = U_k diag(s_k)^(1/2).
     """
+    from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh
+
     if not isinstance(M2, LinearOperator):
         M2 = np.asarray(M2, dtype=float)
     if M2.ndim != 2 or M2.shape[0] != M2.shape[1]:
@@ -257,6 +257,8 @@ def recover(dr: DecompositionResult, Winv_t: np.ndarray, m1: np.ndarray,
     from the whitened eigenvalue.  alpha is alpha0 times the nonnegative
     least-squares fit of m1 through A, renormalized onto the simplex.
     """
+    from scipy.optimize import nnls
+
     if dr.n_components == 0:
         raise RecoveryError("decomposition produced no components")
     B = Winv_t @ dr.components.T
@@ -338,6 +340,8 @@ def _fit_alpha0(p: Projection, family: IDFamily, power: PowerMethodConfig):
     does not depend on a0 (stable priors, for one) and RecoveryError is raised.
     Returns the best (a0, weights, model stage) and the grid's residuals.
     """
+    from scipy.optimize import minimize_scalar
+
     k = p.basis.shape[1]
     best = {"residual": np.inf}   # the first of the smallest residuals seen
 

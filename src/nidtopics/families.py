@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
 
 GAMMA = "gamma"
 STABLE = "stable"
@@ -82,7 +81,11 @@ def invgauss_family(lam: float) -> IDFamily:
 
 def stable_constant(gam: float) -> float:
     """Normalization constant of the stable exponent."""
-    return _gamma_fn(1.0 - gam) / (math.sqrt(2.0 * math.pi) * gam)
+    # scipy's gamma, not math.gamma: the two differ in the last bit at most
+    # arguments, and this constant enters every stable weight
+    from scipy.special import gamma
+
+    return gamma(1.0 - gam) / (math.sqrt(2.0 * math.pi) * gam)
 
 
 def parse_family(text: str) -> IDFamily:

@@ -24,16 +24,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import khatri_rao
-from scipy.sparse.linalg import LinearOperator
 
 from .corpus import Corpus
 from .nid import moment_matrix, moment_tensor, moment_vector
 from .weights import Weights
+
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import LinearOperator
 
 _CHUNK = 1024
 
@@ -76,6 +77,8 @@ class Projection:
 
 def _symmetric_operator(d: int, matmat: Callable[[np.ndarray], np.ndarray]) -> LinearOperator:
     """(d, d) symmetric operator from its action on a (d, m) block."""
+    from scipy.sparse.linalg import LinearOperator
+
     def matvec(x):
         return matmat(np.reshape(x, (d, 1))).ravel()
     return LinearOperator((d, d), matvec=matvec, rmatvec=matvec, matmat=matmat,
@@ -94,11 +97,15 @@ def _pair_operator(C: sp.csr_matrix, scale: np.ndarray, n_docs: int) -> LinearOp
 
 
 def _khatri_rao_sum(X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """sum_a X_ai Y_aj Z_al as a (k1 * k2, k3) matrix, ``_CHUNK`` rows at a time."""
+    """sum_a X_ai Y_aj Z_al as a (k1 * k2, k3) matrix, ``_CHUNK`` rows at a time.
+
+    Each chunk's (k1 * k2, rows) factor is ``scipy.linalg.khatri_rao(x, y)``,
+    built by the same broadcast.
+    """
     t = np.zeros((X.shape[1] * Y.shape[1], Z.shape[1]))
     for i in range(0, X.shape[0], _CHUNK):
-        sl = slice(i, i + _CHUNK)
-        t += khatri_rao(X[sl].T, Y[sl].T) @ Z[sl]
+        x, y, z = X[i:i + _CHUNK].T, Y[i:i + _CHUNK].T, Z[i:i + _CHUNK]
+        t += (x[:, None, :] * y[None, :, :]).reshape(-1, z.shape[0]) @ z
     return t
 
 

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def match_columns(estimate: np.ndarray, truth: np.ndarray):
@@ -11,6 +10,8 @@ def match_columns(estimate: np.ndarray, truth: np.ndarray):
     Returns (perm, errors) where estimate[:, perm[j]] is matched to
     truth[:, j] and errors[j] is the l1 distance of that pair.
     """
+    from scipy.optimize import linear_sum_assignment
+
     est = np.asarray(estimate, dtype=float)
     tru = np.asarray(truth, dtype=float)
     if est.shape != tru.shape:

@@ -54,7 +54,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import expn, gamma, gammaincc, hyperu
 
 from .families import GAMMA, STABLE, IDFamily, stable_constant
 
@@ -104,6 +103,8 @@ class Weights:
 
 def _scaled_expn(r: int, x: float) -> float:
     """e^x E_r(x) for any integer r, with E_r(x) = Gamma(1-r, x) / x^(1-r) for r < 0."""
+    from scipy.special import expn, gamma, gammaincc
+
     if r >= 0:
         return math.exp(x) * float(expn(r, x))
     return math.exp(x) * float(gamma(1 - r) * gammaincc(1 - r, x)) / x ** (1 - r)
@@ -112,6 +113,8 @@ def _scaled_expn(r: int, x: float) -> float:
 def _invgauss_sum(m: int, q: int, x: float) -> float:
     """S(x) of the invgauss omega: the integral over s > lam of
     (s^2 - lam^2)^m s^q exp(-a0 (s - lam)), divided by lam^(2m+1+q)."""
+    from scipy.special import hyperu
+
     if x <= _HYPERU_FROM:
         return sum(math.comb(m, j) * (-1) ** (m - j) * _scaled_expn(-q - 2 * j, x)
                    for j in range(m + 1))
@@ -132,6 +135,8 @@ def omega(family: IDFamily, alpha0: float, spec) -> float:
         return (_GAMMA_C[n - 1] * family.param ** (m + 1 - n - p)
                 * math.factorial(m) / math.prod(b + i for i in range(m + 1)))
     if family.kind == STABLE:
+        from scipy.special import gamma
+
         g = family.param
         c = stable_constant(g)
         c_n = c * math.prod(g - i for i in range(n))

@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import nidtopics
 
 
@@ -19,3 +21,15 @@ def test_import_loads_no_integrator():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("module", ["nidtopics", "nidtopics.cli"])
+def test_import_loads_only_numpy_and_scipy_sparse(module):
+    # each other scipy submodule is imported inside the function that calls it
+    deferred = ["scipy.optimize", "scipy.linalg", "scipy.sparse.linalg", "scipy.special",
+                "scipy.integrate"]
+    code = f"import sys, {module}; print(sorted(set({deferred!r}) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

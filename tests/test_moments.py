@@ -138,6 +138,21 @@ def test_triple_with_distinct_contraction_matrices_matches_brute_force(chunk, mo
     assert np.max(np.abs(t - expected)) < 1e-12
 
 
+@pytest.mark.parametrize("rows, k1, k2, k3", [
+    (moments._CHUNK, 50, 50, 50), (700, 10, 10, 10), (2 * moments._CHUNK + 3, 4, 6, 5),
+    (1, 3, 3, 3)])
+def test_khatri_rao_sum_equals_scipy_khatri_rao_over_chunks(rows, k1, k2, k3):
+    from scipy.linalg import khatri_rao
+
+    rng = np.random.default_rng(rows)
+    X, Y, Z = (rng.standard_normal((rows, k)) for k in (k1, k2, k3))
+    expected = np.zeros((k1 * k2, k3))
+    for i in range(0, rows, moments._CHUNK):
+        sl = slice(i, i + moments._CHUNK)
+        expected += khatri_rao(X[sl].T, Y[sl].T) @ Z[sl]
+    assert np.array_equal(moments._khatri_rao_sum(X, Y, Z), expected)
+
+
 def test_corpus_without_a_three_word_document_rejected():
     corpus = corpus_from_docs([{0: 1, 1: 1}, {2: 2}], d=3)
     with pytest.raises(ShortDocumentError):
