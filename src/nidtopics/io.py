@@ -59,6 +59,10 @@ def read_uci(path) -> Corpus:
     if len(lines) - 3 < nnz:
         raise FormatError(f"{path}: header promises {nnz} triples, "
                           f"found {len(lines) - 3}")
+    extra = next((i for i in range(3 + nnz, len(lines)) if lines[i].strip()), None)
+    if extra is not None:
+        raise FormatError(f"{path}:{extra + 1}: header promises {nnz} triples, "
+                          "found more")
     body = lines[3:3 + nnz]
     triples = None
     if nnz:

@@ -24,6 +24,16 @@ def test_import_loads_no_integrator():
 
 
 @pytest.mark.parametrize("module", ["nidtopics", "nidtopics.cli"])
+def test_import_starts_no_thread(module):
+    # perplexity opens and joins its own helper threads; no pool lives at module level
+    code = f"import threading, {module}; print(threading.active_count())"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "1"
+
+
+@pytest.mark.parametrize("module", ["nidtopics", "nidtopics.cli"])
 def test_import_loads_only_numpy_and_scipy_sparse(module):
     # each other scipy submodule is imported inside the function that calls it
     deferred = ["scipy.optimize", "scipy.linalg", "scipy.sparse.linalg", "scipy.special",

@@ -1,3 +1,7 @@
+import os
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -106,6 +110,63 @@ def test_zero_probability_documents_are_floored():
     p = perplexity(model, corpus, n_h_samples=4, seed=0)
     assert np.isfinite(p)
     assert p > 1e100  # floored at 1e-300 per word pushes perplexity huge
+
+
+def _many_blocks(n_docs=2600, d=30, k=3):
+    """A corpus spread over many scoring blocks and more than one partial sum.
+
+    The last word has probability zero under every topic.  Document 2400 is
+    empty and every 300th document from 100 on uses the last word, so the
+    zero-probability documents fall in blocks across the whole corpus,
+    including the late ones.
+    """
+    rng = np.random.default_rng(11)
+    A = np.zeros((d, k))
+    A[:-1] = rng.dirichlet(np.ones(d - 1), size=k).T
+    model = TopicModel(A=A, alpha=np.full(k, 0.5), family=invgauss_family(4.0))
+    docs = [dict(enumerate(rng.multinomial(12, np.r_[A[:-1, i % k], 0.0]).tolist()))
+            for i in range(n_docs)]
+    docs = [{w: c for w, c in doc.items() if c} for doc in docs]
+    docs[2400] = {}
+    zero = list(range(100, n_docs, 300))
+    for i in zero:
+        docs[i][d - 1] = 1
+    return model, corpus_from_docs(docs, d=d), len(zero)
+
+
+def test_perplexity_over_many_blocks_matches_a_per_document_logsumexp(caplog):
+    from scipy.special import logsumexp
+    from nidtopics.evaluate import prior_samples
+    model, corpus, n_zero = _many_blocks()
+    h = prior_samples(model, 64, np.random.default_rng(5))
+    with np.errstate(divide="ignore"):
+        log_ah = np.log(model.A @ h.T)
+    logp = 0.0
+    for i in range(corpus.n_docs):
+        row = corpus.counts[i]
+        value = logsumexp(row.data @ log_ah[row.indices]) - np.log(64)
+        logp += value if np.isfinite(value) else np.log(1e-300)
+    expected = np.exp(-logp / corpus.doc_lengths().sum())
+    with caplog.at_level("WARNING", logger="nidtopics.evaluate"):
+        got = perplexity(model, corpus, n_h_samples=64, seed=5)
+    assert got == pytest.approx(expected, rel=1e-12)
+    floors = [r.getMessage() for r in caplog.records if "zero probability" in r.getMessage()]
+    assert floors == [f"perplexity: {n_zero} document(s) had zero probability under all "
+                      "prior samples; floored at 1e-300"]
+
+
+def test_perplexity_is_the_same_at_any_core_count(monkeypatch):
+    model, corpus, _ = _many_blocks()
+    values = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        threads = threading.active_count()
+        with warnings.catch_warnings():
+            # a floating-point warning raised in any scoring thread fails the call
+            warnings.simplefilter("error", RuntimeWarning)
+            values.append(perplexity(model, corpus, n_h_samples=64, seed=5))
+        assert threading.active_count() == threads  # the helpers are joined
+    assert values[0] == values[1]
 
 
 def test_top_words_ordering():

@@ -115,9 +115,23 @@ def test_uci_first_bad_row_wins(tmp_path):
     assert ":5: wordID 9" in str(exc.value)
 
 
-def test_uci_ignores_lines_after_the_promised_triples(tmp_path):
+def test_uci_rejects_lines_after_the_promised_triples(tmp_path):
     p = tmp_path / "c.uci"
     p.write_text("2\n3\n2\n1 1 2\n2 3 1\nnot a triple\n9 9 9\n")
+    with pytest.raises(FormatError) as exc:
+        read_uci(p)
+    assert str(exc.value) == f"{p}:6: header promises 2 triples, found more"
+    p.write_text("2\n3\n2\n1 1 2\n2 3 1\n1 2 1\n")  # one triple too many
+    with pytest.raises(FormatError, match=r":6: header promises 2 triples"):
+        read_uci(p)
+    p.write_text("2\n3\n2\n1 1 2\n2 3 1\n\n  \n\t\n3 1 1\n")  # first extra line past blanks
+    with pytest.raises(FormatError, match=r":9: "):
+        read_uci(p)
+
+
+def test_uci_accepts_trailing_blank_lines(tmp_path):
+    p = tmp_path / "c.uci"
+    p.write_text("2\n3\n2\n1 1 2\n2 3 1\n\n   \n")
     corpus = read_uci(p)
     assert corpus.counts.toarray().tolist() == [[2, 0, 0], [0, 0, 1]]
 
