@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass
@@ -15,13 +17,16 @@ class Corpus:
     counts: sp.csr_matrix
 
     def __post_init__(self):
-        mat = sp.csr_matrix(self.counts)
+        import scipy.sparse as sp
+
+        # sum_duplicates sorts and sums in place, so it must not see the caller's arrays
+        mat = sp.csr_matrix(self.counts, copy=True)
         mat.sum_duplicates()
         if mat.nnz and (not np.issubdtype(mat.dtype, np.integer)):
             data = mat.data
             if not np.all(data == np.round(data)):
                 raise ValueError("counts must be integers")
-        mat = mat.astype(np.int64)
+        mat = mat.astype(np.int64, copy=False)
         if mat.nnz and mat.data.min() <= 0:
             raise ValueError("counts must be positive")
         self.counts = mat
@@ -48,6 +53,8 @@ class Corpus:
 
     def permute_vocab(self, perm: Sequence[int]) -> "Corpus":
         """Relabel word ids: new id perm[w] for old id w."""
+        import scipy.sparse as sp
+
         perm = np.asarray(perm, dtype=int)
         mat = self.counts.tocoo()
         return Corpus(sp.csr_matrix((mat.data, (mat.row, perm[mat.col])), shape=mat.shape))
@@ -56,6 +63,8 @@ class Corpus:
 def corpus_from_docs(docs: Iterable[dict | Sequence], d: int) -> Corpus:
     """Build a corpus from per-document {word_id: count} mappings
     or (word_ids, counts) pairs."""
+    import scipy.sparse as sp
+
     rows, cols, data = [], [], []
     n = 0
     for i, doc in enumerate(docs):

@@ -8,14 +8,17 @@ reproduces the corpus exactly.
 Topic models are TSV with a versioned tag line so future fields stay
 readable; columns of A are written one per line (column-major), with floats
 emitted via repr for lossless round trips.
+
+Every reader decodes its file as UTF-8, whatever the locale, and a byte that
+does not decode is a ``FormatError`` at its line.
 """
 from __future__ import annotations
 
+import io
 from pathlib import Path
 from typing import List, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import Corpus
 from .decompose import TopicModel, improper_columns
@@ -35,14 +38,27 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _read_text(path) -> str:
+    """The file decoded as UTF-8, or FormatError at the line of the first
+    undecodable byte (lines end at \\n, \\r\\n or \\r, as in text mode)."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start]
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise FormatError(f"{path}:{lineno}: not UTF-8 (byte {raw[exc.start]:#04x})") from None
+
+
 # ---------------------------------------------------------------------------
 # UCI bag-of-words
 
 
 def read_uci(path) -> Corpus:
+    import scipy.sparse as sp
+
     path = Path(path)
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if len(lines) < 3:
         raise FormatError(f"{path}: expected 3 header lines (D, W, NNZ)")
 
@@ -121,8 +137,8 @@ def write_uci(corpus: Corpus, path) -> None:
 
 
 def read_vocab(path) -> List[str]:
-    with open(path, "r") as fh:
-        return [line.rstrip("\n") for line in fh if line.strip()]
+    fh = io.StringIO(_read_text(path), newline=None)
+    return [line.rstrip("\n") for line in fh if line.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +169,7 @@ def _parse(path, lineno: int, items: Sequence[str], kind) -> list:
 
 def read_topic_model(path) -> TopicModel:
     path = Path(path)
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or not lines[0].startswith(f"#{MODEL_TAG} v"):
         raise FormatError(f"{path}:1: missing '{MODEL_TAG}' format tag")
     try:
@@ -220,7 +235,7 @@ def write_ground_truth(assignments: Sequence[TopicAssignment], path) -> None:
 
 def read_ground_truth(path) -> List[TopicAssignment]:
     out = []
-    with open(path, "r") as fh:
+    with io.StringIO(_read_text(path), newline=None) as fh:
         header = fh.readline()
         if not header.startswith("doc\t"):
             raise FormatError(f"{path}:1: missing ground-truth header")

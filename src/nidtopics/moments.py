@@ -27,13 +27,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import Corpus
 from .nid import moment_matrix, moment_tensor, moment_vector
 from .weights import Weights
 
 if TYPE_CHECKING:
+    import scipy.sparse as sp
     from scipy.sparse.linalg import LinearOperator
 
 _CHUNK = 1024
@@ -142,6 +142,8 @@ def _make_triple(C: sp.csr_matrix, scale: np.ndarray, n_docs: int):
 
 def accumulate(corpus: Corpus) -> MomentSet:
     """Average the per-document unbiased moment statistics over a corpus."""
+    import scipy.sparse as sp
+
     if corpus.n_docs == 0:
         raise ValueError("empty corpus")
     lengths = corpus.doc_lengths().astype(float)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import Corpus
 from .decompose import TopicModel
@@ -56,6 +55,8 @@ class TopicAssignment:
 
 def generate(model: TopicModel, cfg: SynthConfig) -> Tuple[Corpus, List[TopicAssignment]]:
     """Sample a corpus and the latent variables that produced it."""
+    import scipy.sparse as sp
+
     d, k, doc_len = model.d, model.k, cfg.doc_len
     a_cum = np.cumsum(model.A, axis=0)
     a_cum[-1, :] = 1.0  # guard rounding in the inverse-CDF lookup

@@ -43,3 +43,46 @@ def test_import_loads_only_numpy_and_scipy_sparse(module):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["nidtopics", "nidtopics.cli"])
+def test_import_loads_numpy_alone(module):
+    # scipy.sparse is imported inside the functions that build or read a corpus, and
+    # perplexity imports its executor; importing scipy.sparse would load
+    # concurrent.futures too, through numpy.testing
+    code = (f"import sys, {module}; print(sorted(m for m in sys.modules if m == 'scipy' "
+            "or m.startswith('scipy.') or m == 'concurrent.futures'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+# runs the CLI on its arguments, then reports on stderr whether scipy.sparse was loaded
+_RUN_CLI = """
+import sys
+from nidtopics.cli import main
+try:
+    rc = main(sys.argv[1:])
+except SystemExit as exc:
+    rc = exc.code
+sys.stderr.write(f"scipy.sparse loaded: {'scipy.sparse' in sys.modules}")
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["--help"], None),
+    (["weights", "--family", "gamma:1", "--alpha0", "1"],
+     b"v\tv1\tv2\n-0.500000\t-0.333333\t0.333333\n"),
+], ids=["help", "weights"])
+def test_commands_that_build_no_corpus_load_no_scipy_sparse(argv, stdout):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", _RUN_CLI, *argv], env=env,
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.decode().endswith("scipy.sparse loaded: False")
+    if stdout is None:
+        assert proc.stdout.startswith(b"usage: ")
+    else:
+        assert proc.stdout == stdout

@@ -7,7 +7,7 @@ from nidtopics import corpus_from_docs, gamma_family, invgauss_family
 from nidtopics.cli import main
 from nidtopics.decompose import TopicModel
 from nidtopics.io import (
-    FormatError, read_ground_truth, read_topic_model, read_uci,
+    FormatError, read_ground_truth, read_topic_model, read_uci, read_vocab,
     write_ground_truth, write_topic_model, write_uci,
 )
 from nidtopics.synth import TopicAssignment
@@ -262,6 +262,71 @@ def test_ground_truth_round_trip(tmp_path):
     for a, b in zip(assignments, back):
         assert np.array_equal(a.h, b.h)
         assert np.array_equal(a.zeta, b.zeta)
+
+
+# ---------------------------------------------------------------------------
+# non-UTF-8 input: every reader names the line of the first undecodable byte
+
+
+def _assert_bad_byte_at(read, p, lineno):
+    with pytest.raises(FormatError) as exc:
+        read(p)
+    assert str(exc.value).startswith(f"{p}:{lineno}: not UTF-8 (byte 0xff)")
+
+
+@pytest.mark.parametrize("raw, lineno", [
+    (b"\xff2\n3\n1\n1 2 1\n", 1),
+    (b"2\n3\n2\n1 2 1\n2 \xff 1\n", 5),
+    (b"2\r\n3\r\n2\r\n1 2 1\r\n2 \xff 1\r\n", 5),
+], ids=["header", "triple", "crlf"])
+def test_uci_rejects_a_non_utf8_byte_at_its_line(tmp_path, raw, lineno):
+    p = tmp_path / "c.uci"
+    p.write_bytes(raw)
+    _assert_bad_byte_at(read_uci, p, lineno)
+
+
+@pytest.mark.parametrize("raw, lineno", [
+    (b"w\xff\nbeta\n", 1),
+    (b"alpha\n\nbeta\rgam\xffma\n", 4),   # blank lines count; a lone \r ends a line
+], ids=["first", "later"])
+def test_vocab_rejects_a_non_utf8_byte_at_its_line(tmp_path, raw, lineno):
+    p = tmp_path / "vocab.txt"
+    p.write_bytes(raw)
+    _assert_bad_byte_at(read_vocab, p, lineno)
+
+
+@pytest.mark.parametrize("line, lineno", [(0, 1), (6, 7)], ids=["tag", "topic"])
+def test_model_rejects_a_non_utf8_byte_at_its_line(tmp_path, line, lineno):
+    p = tmp_path / "m.tsv"
+    write_topic_model(_model(), p)
+    lines = p.read_bytes().splitlines(keepends=True)
+    lines[line] = lines[line][:-1] + b"\xff\n"
+    p.write_bytes(b"".join(lines))
+    _assert_bad_byte_at(read_topic_model, p, lineno)
+
+
+@pytest.mark.parametrize("raw, lineno", [
+    (b"doc\th\xff\tzeta\n0\t0.5,0.5\t1,0\n", 1),
+    (b"doc\th\tzeta\n0\t0.5,0.5\t1,0\n1\t0.5,0.5\t\xff\n", 3),
+], ids=["header", "row"])
+def test_ground_truth_rejects_a_non_utf8_byte_at_its_line(tmp_path, raw, lineno):
+    p = tmp_path / "t.tsv"
+    p.write_bytes(raw)
+    _assert_bad_byte_at(read_ground_truth, p, lineno)
+
+
+def test_vocab_reads_utf8_words(tmp_path):
+    p = tmp_path / "vocab.txt"
+    p.write_bytes("caf\u00e9\r\n\u03b1\u03b2\n".encode("utf-8"))
+    assert read_vocab(p) == ["caf\u00e9", "\u03b1\u03b2"]
+
+
+def test_cli_learn_names_the_line_of_a_non_utf8_byte(tmp_path, capsys):
+    p = tmp_path / "c.uci"
+    p.write_bytes(b"1\n3\n1\n\xff 2 1\n")
+    assert main(["learn", "--corpus", str(p), "--family", "gamma:1", "--k", "2",
+                 "--out", str(tmp_path / "m.tsv")]) == 2
+    assert f"error [learn]: {p}:4: not UTF-8" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
