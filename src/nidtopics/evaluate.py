@@ -43,6 +43,7 @@ log = logging.getLogger(__name__)
 _LOG_FLOOR = np.log(1e-300)
 _BLOCK = 128        # rows (words of log(A h), documents scored) one thread takes at a time
 _SUM_CHUNK = 2048   # documents per partial sum of the log likelihoods
+_PMI_ROWS = 1024    # documents per dense block of the PMI co-occurrence sum
 
 
 def prior_samples(model: TopicModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -154,12 +155,18 @@ def pmi(model: TopicModel, corpus: Corpus, top_m: int = 10) -> float:
     needed = np.unique(tops)
     col = {int(w): i for i, w in enumerate(needed)}
 
-    # float64 makes the co-occurrence product a BLAS matmul; counts stay
-    # far below 2^53, so every entry is exact
-    present = (corpus.counts[:, needed] > 0).astype(np.float64).toarray()
-    doc_freq = present.sum(axis=0)
-    co = present.T @ present
+    # presence of the needed words, summed over blocks of _PMI_ROWS documents
+    # so only one dense block exists at a time; float64 makes each block's
+    # co-occurrence product a BLAS matmul, and the counts stay far below
+    # 2^53, so every entry is exact whatever the blocking
+    doc_freq = np.zeros(needed.size)
+    co = np.zeros((needed.size, needed.size))
     n_docs = corpus.n_docs
+    for start in range(0, n_docs, _PMI_ROWS):
+        present = corpus.counts[start:start + _PMI_ROWS, needed] > 0
+        block = present.astype(np.float64).toarray()
+        doc_freq += block.sum(axis=0)
+        co += block.T @ block
 
     topic_scores = []
     for t in range(model.k):

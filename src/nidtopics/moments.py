@@ -10,8 +10,9 @@ given the topic proportions.  Neither moment is materialized in vocabulary
 dimension: the pair moment is a symmetric d-by-d ``LinearOperator`` applied
 through the sparse counts, and the raw third moment is contracted on all
 three modes with one d-by-k matrix, run as BLAS matrix products over row
-chunks: O(nnz k + n_docs k^3 + d k^3) time and
-O(nnz + n_docs k + d k + _CHUNK k^2) memory.
+chunks of ``_CHUNK``: O(nnz k + n_docs k^3 + d k^3) time and
+O(nnz + n_docs k + d k + _CHUNK k) memory, the last term being the scratch
+of the chunked products.
 
 ``project_moments`` sees the moments through k columns once; what follows
 (centring with one family's weights, contraction with a whitener) is dense
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -96,16 +97,25 @@ def _pair_operator(C: sp.csr_matrix, scale: np.ndarray, n_docs: int) -> LinearOp
     return _symmetric_operator(C.shape[1], matmat)
 
 
-def _khatri_rao_sum(X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """sum_a X_ai Y_aj Z_al as a (k1 * k2, k3) matrix, ``_CHUNK`` rows at a time.
+def _pair_weighted_sum(X: np.ndarray, Z: np.ndarray,
+                       w: Optional[np.ndarray] = None) -> np.ndarray:
+    """sum_a w_a X_ai X_aj Z_al as a (k, k, k3) array, ``_CHUNK`` rows at a time.
 
-    Each chunk's (k1 * k2, rows) factor is ``scipy.linalg.khatri_rao(x, y)``,
-    built by the same broadcast.
+    The sum is symmetric in (i, j), so only j >= i is formed: per chunk and
+    per i, one (k - i, rows) by (rows, k3) product on the chunk's transposed
+    factors, mirrored at the end.  Scratch is O(_CHUNK * (k + k3)).  ``w``
+    of None weighs every row 1.
     """
-    t = np.zeros((X.shape[1] * Y.shape[1], Z.shape[1]))
-    for i in range(0, X.shape[0], _CHUNK):
-        x, y, z = X[i:i + _CHUNK].T, Y[i:i + _CHUNK].T, Z[i:i + _CHUNK]
-        t += (x[:, None, :] * y[None, :, :]).reshape(-1, z.shape[0]) @ z
+    k = X.shape[1]
+    t = np.zeros((k, k, Z.shape[1]))
+    for a in range(0, X.shape[0], _CHUNK):
+        x = np.ascontiguousarray(X[a:a + _CHUNK].T)   # (k, rows)
+        wx = x if w is None else x * w[a:a + _CHUNK]
+        z = Z[a:a + _CHUNK]
+        for i in range(k):
+            t[i, i:] += (wx[i] * x[i:]) @ z
+    for i in range(k):
+        t[i + 1:, i] = t[i, i + 1:]
     return t
 
 
@@ -114,26 +124,25 @@ def _make_triple(C: sp.csr_matrix, scale: np.ndarray, n_docs: int):
 
     For one document the tensor is
         c (x) c (x) c  -  three pairings of diag(c) with c  +  2 superdiag(c).
-    With P = C V and R = C^T (s * P) the main term sums khatri_rao(s * P, P)^T P
-    over documents, and each pairing is khatri_rao(V, V)^T R over the
+    With P = C V and R = C^T (s * P) the main term sums s_a P_ai P_aj P_al
+    over documents a, and each pairing is a sum of V_ai V_aj R_al over the
     vocabulary with its modes permuted.  The result is symmetrised exactly,
     here and once, so the pairings and the superdiagonal collapse into one
-    sum, khatri_rao(V, V)^T (2 ctilde * V - 3 R): two sparse products in all.
+    sum of V_ai V_aj (2 ctilde * V - 3 R)_al: two sparse products in all.
+    Both sums are symmetric in (i, j) (see ``_pair_weighted_sum``).
     Cost O(nnz * k + n_docs * k^3 + d * k^3) time and
-    O(nnz + n_docs * k + d * k + _CHUNK * k^2) memory.
+    O(nnz + n_docs * k + d * k + _CHUNK * k) memory.
     """
     ctilde = C.T @ scale
 
     def triple(V: np.ndarray) -> np.ndarray:
-        d, k = C.shape[1], V.shape[1]
+        d = C.shape[1]
         if V.shape[0] != d:
             raise ValueError(f"contraction matrix has {V.shape[0]} rows, expected {d}")
         P = C @ V
-        sP = scale[:, None] * P
-        R = C.T @ sP
-        t = _khatri_rao_sum(sP, P, P)
-        t += _khatri_rao_sum(V, V, 2.0 * ctilde[:, None] * V - 3.0 * R)
-        t = t.reshape(k, k, k)
+        R = C.T @ (scale[:, None] * P)
+        t = _pair_weighted_sum(P, P, scale)
+        t += _pair_weighted_sum(V, 2.0 * ctilde[:, None] * V - 3.0 * R)
         t = sum(t.transpose(axes) for axes in itertools.permutations(range(3))) / 6.0
         return t / n_docs
 

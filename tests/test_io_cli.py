@@ -1,9 +1,14 @@
+import io
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nidtopics import corpus_from_docs, gamma_family, invgauss_family
+from nidtopics import Corpus, corpus_from_docs, gamma_family, invgauss_family
+from nidtopics import io as nio
 from nidtopics.cli import main
 from nidtopics.decompose import TopicModel
 from nidtopics.io import (
@@ -148,6 +153,178 @@ def test_write_uci_bytes(tmp_path):
     p = tmp_path / "c.uci"
     write_uci(corpus, p)
     assert p.read_bytes() == b"3\n4\n4\n1 1 12\n1 3 1\n3 2 1\n3 4 2\n"
+
+
+# ---------------------------------------------------------------------------
+# UCI files read in blocks: every fault names its line, wherever the blocks
+# split the file, and the C-parsed and line-wise paths read the same counts
+
+
+@pytest.fixture(params=[1, 5, 16, 64])
+def small_blocks(request, monkeypatch):
+    monkeypatch.setattr(nio, "_READ_BYTES", request.param)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("1 2", "expected 'docID wordID count'"),
+    ("", "expected 'docID wordID count'"),
+    ("1 two 3", "non-integer field"),
+    ("5 2 1", "docID 5 outside 1..4"),
+    ("1 7 1", "wordID 7 outside 1..6 (ids are 1-indexed on disk)"),
+    ("1 2 0", "count must be positive"),
+    (f"1 2 {2**63}", "count must be below 2**63"),
+])
+def test_uci_bad_row_in_a_later_block(tmp_path, small_blocks, bad, message):
+    p = tmp_path / "bad.uci"
+    p.write_text(_uci_with_bad_row(bad, n_good=30))
+    with pytest.raises(FormatError) as exc:
+        read_uci(p)
+    assert str(exc.value) == f"{p}:34: {message}"
+
+
+def test_uci_extra_triple_past_blanks_in_a_later_block(tmp_path, small_blocks):
+    p = tmp_path / "c.uci"
+    p.write_text("2\n3\n2\n1 1 2\n2 3 1\n\n  \n\t\n3 1 1\n")
+    with pytest.raises(FormatError) as exc:
+        read_uci(p)
+    assert str(exc.value) == f"{p}:9: header promises 2 triples, found more"
+
+
+@pytest.mark.parametrize("raw, lineno", [
+    (b"\xff2\n3\n1\n1 2 1\n", 1),
+    (b"2\n3\n2\n1 2 1\n2 \xff 1\n", 5),
+    (b"2\r\n3\r\n2\r\n1 2 1\r\n2 \xff 1\r\n", 5),
+    (b"2\r3\r2\r1 2 1\r2 \xff 1\r", 5),
+    (b"2\n3\n2\n1 2 1\n2 2 1\n\n\xff\n", 7),
+], ids=["header", "triple", "crlf", "cr", "past-the-triples"])
+def test_uci_non_utf8_byte_in_a_later_block(tmp_path, small_blocks, raw, lineno):
+    p = tmp_path / "c.uci"
+    p.write_bytes(raw)
+    _assert_bad_byte_at(read_uci, p, lineno)
+
+
+@pytest.mark.parametrize("eol", ["\r\n", "\r", "mixed"])
+def test_uci_line_endings_in_blocks(tmp_path, small_blocks, eol):
+    def uci(last):
+        lines = ["2", "3", "3", "1 1 2", "1 3 1", last]
+        ends = ["\r", "\n", "\r\n"] * 2 if eol == "mixed" else [eol] * 6
+        return "".join(line + end for line, end in zip(lines, ends)).encode()
+
+    p = tmp_path / "c.uci"
+    p.write_bytes(uci("2 2 4"))
+    assert read_uci(p).counts.toarray().tolist() == [[2, 0, 1], [0, 4, 0]]
+    p.write_bytes(uci("2 9 4"))
+    with pytest.raises(FormatError) as exc:
+        read_uci(p)
+    assert str(exc.value) == f"{p}:6: wordID 9 outside 1..3 (ids are 1-indexed on disk)"
+
+
+def test_uci_int_only_tokens_in_blocks(tmp_path, small_blocks):
+    # a multi-byte digit and a multi-byte blank line must not be split either
+    p = tmp_path / "c.uci"
+    rows = " 1\t1  2 \n+1 3 1_0\n02 2 4\n2 1 \u0661\n"
+    p.write_bytes(f"2\n3\n4\n{rows}\u3000\n".encode("utf-8"))
+    assert read_uci(p).counts.toarray().tolist() == [[2, 0, 10], [1, 4, 0]]
+    p.write_bytes(f"2\n3\n5\n{rows}2 1 1_\n".encode("utf-8"))
+    with pytest.raises(FormatError) as exc:
+        read_uci(p)
+    assert str(exc.value) == f"{p}:8: non-integer field"
+
+
+def test_uci_round_trip_in_blocks(tmp_path, small_blocks):
+    rng = np.random.default_rng(3)
+    docs = [{int(w): int(c) for w, c in zip(rng.choice(40, size=6, replace=False),
+                                            rng.integers(1, 300, size=6))}
+            for _ in range(30)]
+    docs[4] = {}
+    docs[9] = {7: 2**63 - 1}
+    corpus = corpus_from_docs(docs, d=40)
+    p = tmp_path / "c.uci"
+    write_uci(corpus, p)
+    back = read_uci(p)
+    assert back.counts.shape == corpus.counts.shape
+    assert (back.counts != corpus.counts).nnz == 0
+
+
+def test_uci_runs_end_at_lone_cr(monkeypatch):
+    monkeypatch.setattr(nio, "_READ_BYTES", 4)
+    raw = b"2\r3\r2\r1 1 2\r\n2 3 1\r"
+    runs = list(nio._line_blocks(io.BytesIO(raw)))
+    assert b"".join(runs) == raw
+    assert len(runs) > 3
+    assert all(run.endswith((b"\r", b"\n")) for run in runs)
+    assert not any(run.startswith(b"\n") for run in runs)
+
+
+def _read_uci_through_a_fifo(p, raw):
+    os.mkfifo(p)
+
+    def write():
+        with open(p, "wb") as fh:
+            fh.write(raw)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return read_uci(p)
+    finally:
+        writer.join()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_uci_reads_through_a_pipe(tmp_path, small_blocks):
+    rng = np.random.default_rng(5)
+    docs = [{int(w): int(c) for w, c in zip(rng.choice(30, size=5, replace=False),
+                                            rng.integers(1, 9, size=5))}
+            for _ in range(40)]
+    corpus = corpus_from_docs(docs, d=30)
+    p = tmp_path / "c.uci"
+    write_uci(corpus, p)
+    back = _read_uci_through_a_fifo(tmp_path / "fifo.uci", p.read_bytes())
+    assert back.counts.shape == corpus.counts.shape
+    assert (back.counts != corpus.counts).nnz == 0
+    with pytest.raises(FormatError) as exc:   # nothing is allocated for the promise
+        _read_uci_through_a_fifo(tmp_path / "promise.uci", f"2\n3\n{10**15}\n1 1 1\n".encode())
+    assert str(exc.value) == f"{tmp_path / 'promise.uci'}: header promises {10**15} triples, found 1"
+
+
+def test_uci_too_few_lines_is_reported_before_a_bad_row(tmp_path):
+    p = tmp_path / "c.uci"
+    p.write_text("2\n3\n5\n1 x 1\n")
+    with pytest.raises(FormatError) as exc:
+        read_uci(p)
+    assert str(exc.value) == f"{p}: header promises 5 triples, found 1"
+    p.write_text(f"2\n3\n{10**15}\n1 1 1\n")   # nothing is allocated for the promise
+    with pytest.raises(FormatError) as exc:
+        read_uci(p)
+    assert str(exc.value) == f"{p}: header promises {10**15} triples, found 1"
+
+
+def test_read_uci_peak_memory_per_nonzero(tmp_path):
+    import tracemalloc
+
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(0)
+    n_docs, d, per_doc = 2000, 3000, 80
+    docs = np.repeat(np.arange(n_docs), per_doc)
+    words = rng.integers(0, d, size=docs.size)
+    corpus = Corpus(sp.csr_matrix((rng.integers(1, 5, size=docs.size), (docs, words)),
+                                  shape=(n_docs, d)))
+    nnz = corpus.counts.nnz
+    assert nnz >= 100_000
+    p = tmp_path / "c.uci"
+    write_uci(corpus, p)
+    read_uci(p)   # first-call imports are not the reader's memory
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        back = read_uci(p)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert (back.counts != corpus.counts).nnz == 0
+    assert peak < 40 * nnz
 
 
 # ---------------------------------------------------------------------------

@@ -138,19 +138,40 @@ def test_triple_with_distinct_contraction_matrices_matches_brute_force(chunk, mo
     assert np.max(np.abs(t - expected)) < 1e-12
 
 
-@pytest.mark.parametrize("rows, k1, k2, k3", [
-    (moments._CHUNK, 50, 50, 50), (700, 10, 10, 10), (2 * moments._CHUNK + 3, 4, 6, 5),
-    (1, 3, 3, 3)])
-def test_khatri_rao_sum_equals_scipy_khatri_rao_over_chunks(rows, k1, k2, k3):
-    from scipy.linalg import khatri_rao
-
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("rows, k, k3", [
+    (moments._CHUNK, 50, 50), (700, 10, 10), (2 * moments._CHUNK + 3, 4, 5), (1, 3, 3)])
+def test_pair_weighted_sum_equals_einsum_over_chunks(rows, k, k3, weighted):
+    # positive factors, so no entry is a cancellation and rtol alone is a fair bound
     rng = np.random.default_rng(rows)
-    X, Y, Z = (rng.standard_normal((rows, k)) for k in (k1, k2, k3))
-    expected = np.zeros((k1 * k2, k3))
-    for i in range(0, rows, moments._CHUNK):
-        sl = slice(i, i + moments._CHUNK)
-        expected += khatri_rao(X[sl].T, Y[sl].T) @ Z[sl]
-    assert np.array_equal(moments._khatri_rao_sum(X, Y, Z), expected)
+    X, Z = rng.random((rows, k)), rng.random((rows, k3))
+    w = rng.random(rows) if weighted else None
+    expected = np.einsum("a,ai,aj,al->ijl", np.ones(rows) if w is None else w, X, X, Z)
+    np.testing.assert_allclose(moments._pair_weighted_sum(X, Z, w), expected, rtol=1e-12)
+
+
+def test_triple_scratch_is_below_one_k_squared_chunk():
+    import tracemalloc
+
+    import scipy.sparse as sp
+
+    k, d, n_docs = 50, 200, 2 * moments._CHUNK
+    rng = np.random.default_rng(5)
+    docs = np.repeat(np.arange(n_docs), 20)
+    counts = sp.csr_matrix((np.ones(docs.size), (docs, rng.integers(0, d, size=docs.size))),
+                           shape=(n_docs, d))
+    ms = accumulate(Corpus(counts))
+    V = rng.standard_normal((d, k))
+    expected = ms.triple(V)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        t = ms.triple(V)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(t, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+    assert peak < k * k * moments._CHUNK * 8
 
 
 def test_corpus_without_a_three_word_document_rejected():
