@@ -28,7 +28,7 @@ import numpy as np
 from .corpus import Corpus
 from .families import IDFamily
 from .moments import (
-    MomentSet, Projection, accumulate, build_m2, build_whitened_m3, project_moments,
+    MomentSet, Projection, accumulate, build_m2, build_whitened_m3,
 )
 from .weights import Weights, compute_weights
 
@@ -304,12 +304,16 @@ def project(ms: MomentSet, k: int) -> Projection:
     """Top-k basis of the raw pair moment (Lanczos) and the moments projected on it.
 
     In population the raw pair moment's range is span(A) and m1 lies in it, so
-    one basis serves every centring; ``ms.triple`` runs once, here.
+    one basis serves every centring; ``ms.triple`` runs once, here.  The basis
+    holds the Lanczos eigenvectors, so the projected pair moment is
+    diag(spectrum) and is not formed again.
     """
     with _stage("whiten"):
         W, _, spectrum = whiten(ms.m2, k)
+    V = W * np.sqrt(spectrum)
     with _stage("m3"):
-        return project_moments(ms, W * np.sqrt(spectrum))
+        return Projection(m1=ms.m1, basis=V, u=V.T @ ms.m1, g=np.diag(spectrum),
+                          t=ms.triple(V))
 
 
 def _model_stage(p: Projection, weights: Weights, k: int, power: PowerMethodConfig):

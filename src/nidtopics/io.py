@@ -161,7 +161,17 @@ class _UciReader:
             if val < 0:
                 self.fault = FormatError(f"{self.path}:{i + 1}: negative header value")
                 return
+            if val >= 2**63:
+                self.fault = FormatError(f"{self.path}:{i + 1}: header value must be below 2**63")
+                return
             vals.append(val)
+        idx = np.int32 if max(vals[:2]) < 2**31 else np.int64
+        try:   # the CSR's D + 1 row offsets, which no count of lines bounds
+            np.empty(vals[0] + 1, idx)
+        except (MemoryError, ValueError):
+            self.fault = FormatError(f"{self.path}:1: header promises {vals[0]} documents, "
+                                     f"too many to allocate {vals[0] + 1} row offsets for")
+            return
         self.n_docs, self.d, self.nnz = vals
         # a valid triple line takes at least 6 bytes, the last one 5, so a
         # regular file holds at most (size + 1) // 6 triples; a pipe's arrays
@@ -169,7 +179,6 @@ class _UciReader:
         # arrive, so a header's false promise allocates no more than that
         bound = _READ_BYTES if self.size is None else (self.size + 1) // 6
         n = min(self.nnz, bound)
-        idx = np.int32 if max(self.n_docs, self.d) < 2**31 else np.int64
         self.arrays = (np.empty(n, idx), np.empty(n, idx), np.empty(n, np.int64))
 
     def _body(self, lines: List[str], first: int) -> None:

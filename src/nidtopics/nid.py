@@ -247,9 +247,10 @@ def sample(model: NIDModel, rng: np.random.Generator, size: int | None = None) -
     """Simplex draws; shape (k,) for size=None, else (size, k)."""
     n = 1 if size is None else int(size)
     z = _draw_unnormalized(model.family, model.alpha, rng, n)
-    bad = ~np.isfinite(z) | (z <= 0.0)
     tries = 0
-    while bad.any():
+    # two reductions settle the common, all-valid case; NaN fails both
+    while z.size and not (z.min() > 0.0 and z.max() < np.inf):
+        bad = ~np.isfinite(z) | (z <= 0.0)
         tries += 1
         if tries > _MAX_RETRIES:
             raise SamplerError(f"{bad.sum()} draws stayed nonpositive/nonfinite "
@@ -258,7 +259,6 @@ def sample(model: NIDModel, rng: np.random.Generator, size: int | None = None) -
         alpha_full = np.broadcast_to(model.alpha, z.shape)
         redraw = _draw_unnormalized(model.family, alpha_full[idx], rng, 1)
         z[idx] = redraw[0]
-        bad = ~np.isfinite(z) | (z <= 0.0)
     h = z / z.sum(axis=1, keepdims=True)
     return h[0] if size is None else h
 

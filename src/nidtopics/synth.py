@@ -2,15 +2,19 @@
 
 Per document: draw topic proportions h from the model's simplex prior, a
 topic index per word position from Multinomial(h), then the word from the
-chosen topic's column of A.  Each document gets its own generator spawned
-from the master seed, so generation order never matters and regeneration is
-byte-identical.
+chosen topic's column of A.  Documents are drawn ``_BLOCK`` at a time, and
+block b seeds two generators from ``SeedSequence(seed, spawn_key=(b,))``:
+one for the prior draws (one ``sample`` call per document, in document
+order) and one for an (n, 2 doc_len) array of uniforms, each row a
+document's topic uniforms then its word uniforms.  Both streams are read in
+document order, so regeneration is byte-identical and the first m documents
+of ``n_docs`` equal those of ``n_docs = m``.
 
-Cost: the per-document draws (one prior sample, and a topic and a uniform
-per word position) are O(doc_len log k) each and run in a Python loop.  The
-word lookups and the CSR assembly run ``_BLOCK`` documents at a time: one
-binary search per token in its topic's sorted cumulative column, so
-O(n_docs doc_len log d) in all, then a row sort that turns the words into
+Cost: the prior draws are one Python-level call per document.  The rest
+runs a block at a time: a topic is the count of its document's cumulative h
+entries <= u, by k - 1 compare-adds over the block, O(n_docs doc_len k) in
+all; a word is one binary search per token in its topic's sorted cumulative
+column, O(n_docs doc_len log d); then a row sort turns the words into
 sorted CSR entries.  Scratch memory is O(_BLOCK doc_len) on top of the
 output's O(nnz + n_docs doc_len).
 """
@@ -25,7 +29,7 @@ from .corpus import Corpus
 from .decompose import TopicModel
 from .nid import NIDModel, sample
 
-_BLOCK = 1024  # documents whose word lookups run together; bounds the scratch memory
+_BLOCK = 1024  # documents drawn together from one seed; bounds the scratch memory
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ class TopicAssignment:
     zeta: np.ndarray
 
     def __post_init__(self):
-        if (self.zeta < 0).any() or (self.zeta >= self.h.size).any():
+        if self.zeta.size and (self.zeta.min() < 0 or self.zeta.max() >= self.h.size):
             raise ValueError("topic indices out of range")
 
 
@@ -73,26 +77,30 @@ def generate(model: TopicModel, cfg: SynthConfig) -> Tuple[Corpus, List[TopicAss
 
     for start in range(0, cfg.n_docs, _BLOCK):
         n = min(_BLOCK, cfg.n_docs - start)
-        zetas = np.empty((n, doc_len), dtype=np.intp)
-        u = np.empty((n, doc_len))
-        for b in range(n):
-            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(start + b,)))
-            if k == 1:
-                h = np.array([1.0])
-                zeta = np.zeros(doc_len, dtype=int)
-            else:
-                h = sample(prior, rng)
-                h_cum = np.cumsum(h)
-                h_cum[-1] = 1.0
-                zeta = np.searchsorted(h_cum, rng.random(doc_len), side="right")
-            u[b] = rng.random(doc_len)
-            zetas[b] = zeta
-            assignments.append(TopicAssignment(h=h, zeta=zeta))
+        block_seed = np.random.SeedSequence(cfg.seed, spawn_key=(start // _BLOCK,))
+        h_rng, u_rng = (np.random.default_rng(s) for s in block_seed.spawn(2))
+        u = u_rng.random((n, 2 * doc_len))
+        if k == 1:
+            hs = np.ones((n, 1))
+            zetas = np.zeros((n, doc_len), dtype=np.intp)
+        else:
+            hs = np.array([sample(prior, h_rng) for _ in range(n)])
+            h_cum = np.cumsum(hs, axis=1)
+            # a topic is the count of the cumulative entries <= u; the last
+            # is 1 > u, so k - 1 compares give searchsorted(side="right"),
+            # summed in the narrowest integer that holds k
+            u_topic = u[:, :doc_len]
+            counts = np.zeros((n, doc_len), dtype=np.min_scalar_type(k))
+            for j in range(k - 1):
+                counts += h_cum[:, j, None] <= u_topic
+            zetas = counts.astype(np.intp)
+        assignments.extend(TopicAssignment(h=h, zeta=zeta) for h, zeta in zip(hs, zetas))
 
+        u_word = u[:, doc_len:]
         words = np.empty((n, doc_len), dtype=np.intp)
         for j in range(k):
             on = zetas == j
-            words[on] = np.searchsorted(a_sorted[j], u[on], side="right")
+            words[on] = np.searchsorted(a_sorted[j], u_word[on], side="right")
 
         # each run of equal words in a sorted row is one CSR entry
         words.sort(axis=1)

@@ -268,6 +268,16 @@ def test_orthogonal_decomposability_certificate():
         assert dr.residual / np.linalg.norm(t) < 1e-3
 
 
+def test_projected_pair_moment_is_the_lanczos_spectrum():
+    # the basis holds M2's top eigenvectors, so V^T M2 V is diag(spectrum)
+    rng = np.random.default_rng(10)
+    A = rng.dirichlet(np.ones(40) * 0.5, size=4).T
+    ms = exact_moment_set(NIDModel(invgauss_family(4.0), np.array([0.5, 1.0, 1.5, 2.0])), A)
+    p = decompose_module.project(ms, 4)
+    formed = p.basis.T @ (ms.m2 @ p.basis)
+    assert np.allclose(p.g, 0.5 * (formed + formed.T), rtol=0.0, atol=1e-12 * p.g[0, 0])
+
+
 @pytest.mark.parametrize("family", [gamma_family(1.0), invgauss_family(4.0)],
                          ids=["gamma:1", "invgauss:4"])
 def test_centring_and_whitening_the_projection_equals_word_space(family):

@@ -75,6 +75,21 @@ def test_uci_rejects_bad_counts_and_headers(tmp_path):
         read_uci(p)
 
 
+@pytest.mark.parametrize("text, message", [
+    # D + 1 row offsets are 7.28 TiB: no line count bounds D, so the header is the fault
+    ("1000000000000\n3\n1\n1 1 1\n",
+     ":1: header promises 1000000000000 documents, too many to allocate"),
+    (f"{2**62}\n3\n1\n1 1 1\n", f":1: header promises {2**62} documents"),
+    (f"1\n{2**63}\n1\n1 1 1\n", ":2: header value must be below 2**63"),
+])
+def test_uci_rejects_header_sizes_beyond_memory(tmp_path, text, message):
+    p = tmp_path / "huge.uci"
+    p.write_text(text)
+    with pytest.raises(FormatError) as exc:
+        read_uci(p)
+    assert f"{p}{message}" in str(exc.value)
+
+
 def test_uci_rejects_out_of_range_doc(tmp_path):
     p = tmp_path / "bad.uci"
     p.write_text("2\n3\n1\n3 1 1\n")

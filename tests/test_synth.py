@@ -108,25 +108,29 @@ def test_latents_match_counts():
 
 
 def _reference_generate(model, cfg):
-    """Dense-comparison generator: a word is the count of its topic's
-    cumulative entries <= u, found by comparing the whole column."""
-    d, k = model.d, model.k
+    """Block-seeded generator, one document at a time: topics by binary search
+    in cumulative h, and a word as the count of its topic's cumulative
+    entries <= u, found by comparing the whole column."""
+    d, k, L = model.d, model.k, cfg.doc_len
     a_cum = np.cumsum(model.A, axis=0)
     a_cum[-1, :] = 1.0
     prior = None if k == 1 else NIDModel(model.family, model.alpha)
     indptr, indices, data, assignments = [0], [], [], []
     for i in range(cfg.n_docs):
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
+        b, row = divmod(i, synth._BLOCK)
+        if row == 0:
+            seeds = np.random.SeedSequence(cfg.seed, spawn_key=(b,)).spawn(2)
+            h_rng, u_rng = (np.random.default_rng(s) for s in seeds)
+        u = u_rng.random(2 * L)
         if k == 1:
             h = np.array([1.0])
-            zeta = np.zeros(cfg.doc_len, dtype=int)
+            zeta = np.zeros(L, dtype=int)
         else:
-            h = sample(prior, rng)
+            h = sample(prior, h_rng)
             h_cum = np.cumsum(h)
             h_cum[-1] = 1.0
-            zeta = np.searchsorted(h_cum, rng.random(cfg.doc_len), side="right")
-        u = rng.random(cfg.doc_len)
-        words = (a_cum[:, zeta] <= u[None, :]).sum(axis=0)
+            zeta = np.searchsorted(h_cum, u[:L], side="right")
+        words = (a_cum[:, zeta] <= u[None, L:]).sum(axis=0)
         counts = np.bincount(words, minlength=d)
         nz = np.nonzero(counts)[0]
         indices.append(nz)
@@ -193,3 +197,28 @@ def test_generate_matches_dense_reference(make, block, monkeypatch):
     for x, y in zip(got_latent, want_latent):
         assert x.h.dtype == y.h.dtype and np.array_equal(x.h, y.h)
         assert x.zeta.dtype == y.zeta.dtype and np.array_equal(x.zeta, y.zeta)
+
+
+@pytest.mark.parametrize("block", [7, None])
+def test_first_documents_do_not_depend_on_n_docs(block, monkeypatch):
+    # both streams are read in document order, so a shorter corpus is a prefix
+    if block is not None:
+        monkeypatch.setattr(synth, "_BLOCK", block)
+    model = _random_model(30, 4, seed=18, family=invgauss_family(2.0))
+    full, full_latent = generate(model, SynthConfig(20, 8, seed=19))
+    for m in (1, 6, 7, 8, 13):   # short of, at and past the 7-document boundaries
+        part, part_latent = generate(model, SynthConfig(m, 8, seed=19))
+        assert (part.counts != full.counts[:m]).nnz == 0
+        for x, y in zip(part_latent, full_latent[:m], strict=True):
+            assert np.array_equal(x.h, y.h) and np.array_equal(x.zeta, y.zeta)
+
+
+@pytest.mark.parametrize("family", [gamma_family(1.5), invgauss_family(4.0)])
+def test_per_document_draws_equal_one_sized_draw(family):
+    # generate calls sample once per document; for these families that draws
+    # exactly what one size=n call on the same generator would
+    prior = NIDModel(family, np.array([0.3, 1.0, 2.5, 0.8]))
+    rng = np.random.default_rng(20)
+    one_by_one = np.array([sample(prior, rng) for _ in range(1024)])
+    at_once = sample(prior, np.random.default_rng(20), size=1024)
+    assert np.array_equal(one_by_one, at_once)
