@@ -249,7 +249,8 @@ def sample(model: NIDModel, rng: np.random.Generator, size: int | None = None) -
     z = _draw_unnormalized(model.family, model.alpha, rng, n)
     tries = 0
     # two reductions settle the common, all-valid case; NaN fails both
-    while z.size and not (z.min() > 0.0 and z.max() < np.inf):
+    while z.size and not (np.minimum.reduce(z, axis=None) > 0.0
+                          and np.maximum.reduce(z, axis=None) < np.inf):
         bad = ~np.isfinite(z) | (z <= 0.0)
         tries += 1
         if tries > _MAX_RETRIES:
@@ -259,7 +260,7 @@ def sample(model: NIDModel, rng: np.random.Generator, size: int | None = None) -
         alpha_full = np.broadcast_to(model.alpha, z.shape)
         redraw = _draw_unnormalized(model.family, alpha_full[idx], rng, 1)
         z[idx] = redraw[0]
-    h = z / z.sum(axis=1, keepdims=True)
+    h = z / np.add.reduce(z, axis=1, keepdims=True)
     return h[0] if size is None else h
 
 

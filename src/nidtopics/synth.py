@@ -13,8 +13,13 @@ of ``n_docs`` equal those of ``n_docs = m``.
 Cost: the prior draws are one Python-level call per document.  The rest
 runs a block at a time: a topic is the count of its document's cumulative h
 entries <= u, by k - 1 compare-adds over the block, O(n_docs doc_len k) in
-all; a word is one binary search per token in its topic's sorted cumulative
-column, O(n_docs doc_len log d); then a row sort turns the words into
+all.  For the words the block's tokens are sorted once, by word uniform and
+then stably (a radix sort) by topic, so each topic takes one search of its
+sorted cumulative column with a sorted, contiguous run of keys, and the
+words are scattered back through the permutation.  In order, consecutive
+keys take nearly the same path through the column (numpy also starts each
+bisection at the previous key's result), so the branches predict and the
+entries they touch stay in cache.  A row sort then turns the words into
 sorted CSR entries.  Scratch memory is O(_BLOCK doc_len) on top of the
 output's O(nnz + n_docs doc_len).
 """
@@ -47,14 +52,44 @@ class SynthConfig:
 
 @dataclass
 class TopicAssignment:
-    """Ground-truth latents of one document."""
+    """Ground-truth latents of one document: topic proportions ``h`` and a
+    topic index per word, ``zeta``, integers in [0, h.size).  Both are
+    coerced to arrays."""
 
     h: np.ndarray
     zeta: np.ndarray
 
     def __post_init__(self):
-        if self.zeta.size and (self.zeta.min() < 0 or self.zeta.max() >= self.h.size):
+        self.h = np.asarray(self.h, dtype=float)
+        self.zeta = zeta = np.asarray(self.zeta)
+        if zeta.dtype.kind not in "iu":
+            raise ValueError(f"topic indices must be integers, not {zeta.dtype}")
+        if zeta.size and (np.minimum.reduce(zeta, axis=None) < 0
+                          or np.maximum.reduce(zeta, axis=None) >= self.h.size):
             raise ValueError("topic indices out of range")
+
+
+def _lookup_words(a_sorted: np.ndarray, topics: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(a_sorted[t], x, side="right")`` for each pair (t, x) of the
+    flat ``topics`` and ``u``.
+
+    The tokens are grouped by topic with their uniforms in increasing order,
+    so each topic takes one search over a contiguous sorted slice (see the
+    module's "Cost").  The same floats meet the same column, so every word is
+    the one a per-token search finds.  ``topics`` should be the narrowest
+    integer type that holds k, so that the stable sort is a radix sort.
+    """
+    order = np.argsort(u)
+    order = order[np.argsort(topics[order], kind="stable")]
+    keys = u[order]
+    found = np.empty(u.size, dtype=np.intp)
+    start = 0
+    for j, end in enumerate(np.cumsum(np.bincount(topics, minlength=len(a_sorted)))):
+        found[start:end] = np.searchsorted(a_sorted[j], keys[start:end], side="right")
+        start = end
+    words = np.empty_like(found)
+    words[order] = found
+    return words
 
 
 def generate(model: TopicModel, cfg: SynthConfig) -> Tuple[Corpus, List[TopicAssignment]]:
@@ -82,25 +117,22 @@ def generate(model: TopicModel, cfg: SynthConfig) -> Tuple[Corpus, List[TopicAss
         u = u_rng.random((n, 2 * doc_len))
         if k == 1:
             hs = np.ones((n, 1))
-            zetas = np.zeros((n, doc_len), dtype=np.intp)
+            counts = np.zeros((n, doc_len), dtype=np.uint8)
         else:
             hs = np.array([sample(prior, h_rng) for _ in range(n)])
             h_cum = np.cumsum(hs, axis=1)
             # a topic is the count of the cumulative entries <= u; the last
             # is 1 > u, so k - 1 compares give searchsorted(side="right"),
             # summed in the narrowest integer that holds k
-            u_topic = u[:, :doc_len]
+            u_topic = u[:, :doc_len].copy()  # contiguous, so each compare runs faster
             counts = np.zeros((n, doc_len), dtype=np.min_scalar_type(k))
             for j in range(k - 1):
                 counts += h_cum[:, j, None] <= u_topic
-            zetas = counts.astype(np.intp)
+        zetas = counts.astype(np.intp)
         assignments.extend(TopicAssignment(h=h, zeta=zeta) for h, zeta in zip(hs, zetas))
 
-        u_word = u[:, doc_len:]
-        words = np.empty((n, doc_len), dtype=np.intp)
-        for j in range(k):
-            on = zetas == j
-            words[on] = np.searchsorted(a_sorted[j], u_word[on], side="right")
+        words = _lookup_words(a_sorted, counts.ravel(), u[:, doc_len:].ravel())
+        words = words.reshape(n, doc_len)
 
         # each run of equal words in a sorted row is one CSR entry
         words.sort(axis=1)

@@ -434,6 +434,14 @@ def test_ground_truth_topic_out_of_range_names_its_line(tmp_path):
     assert f"{p}:3:" in str(exc.value)
 
 
+def test_ground_truth_negative_topic_names_its_line(tmp_path):
+    p = tmp_path / "t.tsv"
+    p.write_text("doc\th\tzeta\n0\t0.5,0.5\t1,0\n1\t0.25,0.75\t0,-1\n")
+    with pytest.raises(FormatError) as exc:
+        read_ground_truth(p)
+    assert f"{p}:3:" in str(exc.value)
+
+
 @pytest.mark.parametrize("row", ["0\t0.25,0.75\t0,x\n", "0\t0.25,y\t0,1\n"])
 def test_ground_truth_bad_field_names_its_line(tmp_path, row):
     p = tmp_path / "t.tsv"

@@ -176,10 +176,16 @@ def _one_topic():
     return TopicModel(A=col[:, None], alpha=np.array([1.0]), family=gamma_family(1.0))
 
 
+def _many_topics():
+    # k >= 256 holds the topic counts in uint16
+    return _random_model(6, 300, seed=22)
+
+
 @pytest.mark.parametrize("make", [
     _with_zeros, _overshoot, _negative_entry, _single_word_docs, _one_topic,
     lambda: _random_model(40, 5, seed=15),
     lambda: _random_model(40, 5, seed=16, family=invgauss_family(0.5)),
+    _many_topics,
 ])
 @pytest.mark.parametrize("block", [7, None])
 def test_generate_matches_dense_reference(make, block, monkeypatch):
@@ -197,6 +203,49 @@ def test_generate_matches_dense_reference(make, block, monkeypatch):
     for x, y in zip(got_latent, want_latent):
         assert x.h.dtype == y.h.dtype and np.array_equal(x.h, y.h)
         assert x.zeta.dtype == y.zeta.dtype and np.array_equal(x.zeta, y.zeta)
+
+
+def _sorted_columns(model):
+    a_cum = np.cumsum(model.A, axis=0)
+    a_cum[-1, :] = 1.0
+    return np.sort(a_cum, axis=0).T.copy()
+
+
+@pytest.mark.parametrize("make", [_with_zeros, _overshoot, _negative_entry])
+@pytest.mark.parametrize("drawn", ["every", "gap", "one"])
+def test_lookup_words_equals_a_search_per_token(make, drawn):
+    a_sorted = _sorted_columns(make())
+    k = len(a_sorted)
+    rng = np.random.default_rng(21)
+    u = rng.random(600)
+    # ties: a third of the keys are column entries themselves, many repeated
+    u[::3] = rng.choice(a_sorted.ravel(), 200)
+    if drawn == "every":
+        cases = [rng.integers(0, k, u.size)]
+    elif drawn == "gap":        # topic 1 is drawn by no token
+        cases = [rng.choice([j for j in range(k) if j != 1], u.size)]
+    else:                       # every token in one topic, for each topic
+        cases = [np.full(u.size, j) for j in range(k)]
+    for topics in cases:
+        topics = topics.astype(np.uint8)
+        want = [np.searchsorted(a_sorted[t], x, side="right") for t, x in zip(topics, u)]
+        got = synth._lookup_words(a_sorted, topics, u)
+        assert got.dtype == np.intp and np.array_equal(got, want)
+
+
+def test_topic_assignment_coerces_its_fields():
+    a = TopicAssignment(h=[0.25, 0.75], zeta=[1, 0, 1])
+    assert a.h.dtype == np.float64 and np.array_equal(a.h, [0.25, 0.75])
+    assert a.zeta.dtype.kind == "i" and np.array_equal(a.zeta, [1, 0, 1])
+    for zeta in ([0, 2], [-1, 0]):
+        with pytest.raises(ValueError, match="out of range"):
+            TopicAssignment(h=[0.5, 0.5], zeta=zeta)
+
+
+@pytest.mark.parametrize("zeta", [[0.0, 1.7], [0.0, 1.0], [True, False]])
+def test_topic_assignment_rejects_non_integer_topics(zeta):
+    with pytest.raises(ValueError, match="integers"):
+        TopicAssignment(h=[0.5, 0.5], zeta=zeta)
 
 
 @pytest.mark.parametrize("block", [7, None])
