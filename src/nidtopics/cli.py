@@ -35,6 +35,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive(text: str) -> float:
+    """``text`` as a finite positive float, for an argparse ``type``."""
+    try:
+        if 0.0 < (val := float(text)) < float("inf"):
+            return val
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
+
+
+def _alpha0(text: str):
+    """--alpha0 of ``learn``: "fit" or a finite positive float."""
+    return text if text == "fit" else _positive(text)
+
+
+def _alpha_vector(text: str) -> np.ndarray:
+    """--alpha: comma-separated finite positive floats."""
+    return np.array([_positive(x) for x in text.split(",")])
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="nidtopics",
                 description="Spectral learning for simplex-prior topic models")
@@ -48,8 +68,8 @@ def build_parser() -> _Parser:
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--docs", type=int, required=True)
     g.add_argument("--len", type=int, required=True, dest="doc_len")
-    g.add_argument("--alpha0", type=float, default=1.0)
-    g.add_argument("--alpha", type=str, default=None,
+    g.add_argument("--alpha0", type=_positive, default=1.0)
+    g.add_argument("--alpha", type=_alpha_vector, default=None,
                    help="comma-separated concentration vector (overrides --alpha0 split)")
     g.add_argument("--topic-concentration", type=float, default=0.1,
                    help="Dirichlet concentration for the random topic columns")
@@ -57,14 +77,14 @@ def build_parser() -> _Parser:
 
     w = sub.add_parser("weights", help="print the centering weights for a family")
     w.add_argument("--family", required=True)
-    w.add_argument("--alpha0", type=float, required=True)
+    w.add_argument("--alpha0", type=_positive, required=True)
     w.add_argument("--out", default=None)
 
     l = sub.add_parser("learn", help="learn a topic model from a UCI corpus")
     l.add_argument("--corpus", required=True)
     l.add_argument("--family", required=True)
     l.add_argument("--k", type=int, required=True)
-    l.add_argument("--alpha0", default="1.0",
+    l.add_argument("--alpha0", type=_alpha0, default="1.0",
                    help="total concentration, or 'fit' to estimate it")
     l.add_argument("--iterations", type=int, default=100)
     l.add_argument("--out", required=True)
@@ -100,7 +120,8 @@ def build_parser() -> _Parser:
 
     c = sub.add_parser("correlate", help="correlation-sign sweep over a family parameter")
     c.add_argument("--family", required=True, choices=["gamma", "invgauss", "stable"])
-    c.add_argument("--alpha", required=True, help="comma-separated concentration vector")
+    c.add_argument("--alpha", type=_alpha_vector, required=True,
+                   help="comma-separated concentration vector")
     c.add_argument("--sweep", required=True, help="lo:hi:n parameter grid")
     c.add_argument("--log", action="store_true", help="log-spaced grid")
     c.add_argument("--mean-shape", action="store_true",
@@ -123,18 +144,11 @@ def _note(args, msg: str):
         print(msg, file=sys.stderr)
 
 
-def _parse_alpha(text: str) -> np.ndarray:
-    vals = np.array([float(x) for x in text.split(",")])
-    if np.any(vals <= 0):
-        raise UsageError("alpha entries must be positive")
-    return vals
-
-
 def _cmd_generate(args) -> int:
     family = parse_family(args.family)
     rng = np.random.default_rng(args.seed)
     if args.alpha is not None:
-        alpha = _parse_alpha(args.alpha)
+        alpha = args.alpha
         if alpha.size != args.k:
             raise UsageError(f"--alpha has {alpha.size} entries but --k is {args.k}")
     else:
@@ -162,12 +176,11 @@ def _cmd_learn(args) -> int:
     power = PowerMethodConfig(n_iterations=args.iterations, seed=args.seed)
     corpus = nio.read_uci(args.corpus)
     family = parse_family(args.family)
-    alpha0 = "fit" if args.alpha0 == "fit" else float(args.alpha0)
-    model = learn(corpus, family, args.k, alpha0, power)
+    model = learn(corpus, family, args.k, args.alpha0, power)
     nio.write_topic_model(model, args.out)
     eigs = model.diagnostics.get("lambdas", [])
     _note(args, "eigenvalues: " + " ".join(f"{x:.6g}" for x in eigs))
-    fitted = f"  fitted alpha0: {model.alpha0:.6g}" if alpha0 == "fit" else ""
+    fitted = f"  fitted alpha0: {model.alpha0:.6g}" if args.alpha0 == "fit" else ""
     _note(args, f"residual: {model.diagnostics.get('residual', float('nan')):.6g}{fitted}")
     for flag in model.diagnostics.get("flags", []):
         _note(args, f"flag: {flag}")
@@ -198,7 +211,10 @@ def _parse_grid(text: str):
             continue
         spec, _, a0s = chunk.partition("@")
         family = parse_family(spec)
-        alphas = [float(x) for x in a0s.split(",")] if a0s else [1.0]
+        try:
+            alphas = [_positive(x) for x in a0s.split(",")] if a0s else [1.0]
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"--grid: {exc} in {chunk!r}") from None
         for a0 in alphas:
             candidates.append(TuneCandidate(family, a0))
     if not candidates:
@@ -207,8 +223,9 @@ def _parse_grid(text: str):
 
 
 def _cmd_tune(args) -> int:
+    candidates = _parse_grid(args.grid)
     corpus = nio.read_uci(args.corpus)
-    model, report = tune(corpus, args.k, _parse_grid(args.grid),
+    model, report = tune(corpus, args.k, candidates,
                          split=args.split, seed=args.seed, n_h_samples=args.samples)
     header = "family\talpha0\tv\tv1\tv2\tperplexity\tresidual\terror"
     lines = [header]
@@ -241,7 +258,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    alpha = _parse_alpha(args.alpha)
+    alpha = args.alpha
     lo_s, _, rest = args.sweep.partition(":")
     hi_s, _, n_s = rest.partition(":")
     try:

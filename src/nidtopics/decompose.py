@@ -398,6 +398,7 @@ def learn(corpus: Corpus, family: IDFamily, k: int, alpha0: Union[float, str],
         raise StageError("input", ValueError("empty corpus"))
     if k > corpus.d:
         raise StageError("input", ValueError(f"k={k} exceeds vocabulary size {corpus.d}"))
+    _check_alpha0(alpha0)
 
     with _stage("moments"):
         ms = accumulate(corpus)
@@ -413,7 +414,20 @@ def learn_from_moments(ms: MomentSet, family: IDFamily, k: int,
     centring weights from (family, alpha0), or from every candidate alpha0
     when alpha0="fit".
     """
+    _check_alpha0(alpha0)
     return _learn_projected(project(ms, k), family, alpha0, power)
+
+
+def _check_alpha0(alpha0: Union[float, str]) -> None:
+    """StageError("input") unless alpha0 is "fit" or a finite positive number,
+    so a bad one fails before the corpus stage."""
+    if isinstance(alpha0, str):
+        ok = alpha0 == "fit"
+    else:
+        ok = 0.0 < float(alpha0) < np.inf
+    if not ok:
+        raise StageError("input", ValueError(
+            f"alpha0 must be 'fit' or a finite positive number, got {alpha0!r}"))
 
 
 def _learn_projected(p: Projection, family: IDFamily, alpha0: Union[float, str],

@@ -1,35 +1,36 @@
 """File formats: UCI bag-of-words corpora, topic models, ground-truth latents.
 
+Every reader sees its file through ``_lines``: decoded as UTF-8, whatever the
+locale, and split into lines where text mode splits them, at \\n, \\r\\n and
+a lone \\r, and nowhere else.  So a form feed, a vertical tab, U+0085 or
+U+2028 is whitespace inside its line, lines are numbered as an editor numbers
+them, and a byte that does not decode is a ``FormatError`` at its line.
+
 The corpus format is three header lines (document count D, vocabulary size
 W, number of triples NNZ) followed by one ``docID wordID count`` triple per
 line, all 1-indexed on disk and 0-indexed in memory.  Writing then reading
 reproduces the corpus exactly.
 
 Both directions hold the corpus once or twice, never the file.  ``read_uci``
-reads runs of whole lines of about ``_READ_BYTES`` bytes (a line ends at
-\\n, \\r\\n or \\r; a longer line is one run) and parses each by ``np.loadtxt``
-or, to name a fault's line, line by line, into arrays allocated from the
-header: doc and word ids (int32 while D and W allow it) and int64 counts,
-16 bytes per nonzero (B/nnz).  The CSR built from those arrays (12 B/nnz)
-and the ``Corpus``'s own copy of it then put the peak at about 28 B/nnz plus
-one run's scratch: 28 B/nnz of RSS above the start on a 1.94M-nnz file.
+reads runs of whole lines of about ``_READ_BYTES`` bytes and parses each by
+``np.loadtxt`` or, to name a fault's line, line by line, into arrays
+allocated from the header: doc and word ids (int32 while D and W allow it)
+and int64 counts, 16 bytes per nonzero (B/nnz).  The CSR built from those
+arrays (12 B/nnz) puts the peak at about 28 B/nnz plus one run's scratch;
+the arrays are dropped before the ``Corpus`` copies the CSR.
 ``write_uci`` formats ``_WRITE_ROWS`` triples at a time straight from the
 CSR rows, about 1 B/nnz of traced memory there.
 
 Topic models are TSV with a versioned tag line so future fields stay
 readable; columns of A are written one per line (column-major), with floats
 emitted via repr for lossless round trips.
-
-Every reader decodes its file as UTF-8, whatever the locale, and a byte that
-does not decode is a ``FormatError`` at its line.
 """
 from __future__ import annotations
 
-import io
 import os
 import stat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,9 +38,6 @@ from .corpus import Corpus
 from .decompose import TopicModel, improper_columns
 from .families import parse_family
 from .synth import TopicAssignment
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 MODEL_TAG = "nid-topic-model"
 MODEL_VERSION = 1
@@ -55,24 +53,23 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _text_lines(raw: bytes) -> int:
-    """Line breaks in ``raw`` as text mode counts them: \\n, \\r\\n and a lone \\r."""
-    return raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
+def _lines(path, raw: bytes, first: int = 1) -> List[str]:
+    """The lines of ``raw``, whose first line is line ``first`` of ``path``.
 
-
-def _decode(path, raw: bytes, first_line: int = 1) -> str:
-    """``raw`` decoded as UTF-8, or FormatError at the line of its first
-    undecodable byte, counting from ``first_line`` as text mode does."""
+    \\n, \\r\\n and a lone \\r end a line, as in text mode, and the last
+    line needs no end.  A byte that does not decode as UTF-8 is a FormatError
+    at its line.  Neither \\r nor \\n occurs inside a UTF-8 sequence, so the
+    ends are unified before decoding.
+    """
+    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        return raw.decode("utf-8")
+        lines = raw.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
-        lineno = first_line + _text_lines(raw[:exc.start])
+        lineno = first + raw.count(b"\n", 0, exc.start)
         raise FormatError(f"{path}:{lineno}: not UTF-8 (byte {raw[exc.start]:#04x})") from None
-
-
-def _read_text(path) -> str:
-    """The whole file decoded as UTF-8 (see ``_decode``)."""
-    return _decode(path, Path(path).read_bytes())
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -80,15 +77,64 @@ def _read_text(path) -> str:
 
 
 def read_uci(path) -> Corpus:
-    """The corpus of a UCI file; a fault is a FormatError naming its line."""
+    """The corpus of a UCI file; a fault is a FormatError naming its line.
+
+    A fault is reported in one order wherever it sits in the file: an
+    undecodable byte, then the header, then too few lines, then a non-blank
+    line past the promised triples, then the first malformed triple.  So
+    after a fault the rest of the file is still decoded and its lines counted.
+    """
+    import scipy.sparse as sp
+
     path = Path(path)
+    header: List[str] = []
+    n_lines = 0
+    arrays = None   # 0-based doc, 0-based word, count, once the header is read
+    fault = extra = None   # the first bad header or triple; the first line past the triples
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
         # a pipe or a terminal reports no size to bound the header's promise by
-        reader = _UciReader(path, st.st_size if stat.S_ISREG(st.st_mode) else None)
+        size = st.st_size if stat.S_ISREG(st.st_mode) else None
         for raw in _line_blocks(fh):
-            reader.feed(raw)
-    return Corpus(reader.matrix())
+            first = n_lines + 1
+            lines = _lines(path, raw, first)
+            n_lines += len(lines)
+            if extra is not None:
+                continue
+            if len(header) < 3:
+                take = 3 - len(header)
+                header += lines[:take]
+                lines, first = lines[take:], first + take
+                if len(header) == 3:
+                    try:
+                        n_docs, d, nnz, arrays = _uci_header(path, header, size)
+                    except FormatError as exc:
+                        fault = exc
+            if arrays is None:
+                continue
+            # triples up to line 3 + nnz, blank lines after it
+            n = min(len(lines), max(nnz + 4 - first, 0))
+            if n and fault is None:
+                try:
+                    _store_triples(path, lines[:n], first, arrays, n_docs, d, nnz)
+                except FormatError as exc:
+                    fault = exc
+            past = next((first + i for i in range(n, len(lines)) if lines[i].strip()), None)
+            if past is not None:
+                extra = FormatError(f"{path}:{past}: header promises {nnz} triples, found more")
+    raw = lines = None   # the last run is not held at the peak
+    if n_lines < 3:
+        raise FormatError(f"{path}: expected 3 header lines (D, W, NNZ)")
+    if arrays is None:
+        raise fault
+    if n_lines - 3 < nnz:
+        raise FormatError(f"{path}: header promises {nnz} triples, found {n_lines - 3}")
+    for error in (extra, fault):
+        if error is not None:
+            raise error
+    counts = sp.csr_matrix((arrays[2], arrays[:2]), shape=(n_docs, d), dtype=np.int64)
+    del arrays   # so the peak is the triples and one CSR, or two CSRs, never all three
+    return Corpus(counts)
 
 
 def _line_blocks(fh) -> Iterator[bytes]:
@@ -111,138 +157,62 @@ def _line_blocks(fh) -> Iterator[bytes]:
         yield tail
 
 
-class _UciReader:
-    """A UCI file, fed to ``feed`` in runs of whole lines and parsed into
-    arrays allocated from the header; ``matrix`` gives the counts.
+def _uci_header(path: Path, header: Sequence[str],
+                size: Optional[int]) -> Tuple[int, int, int, Tuple[np.ndarray, ...]]:
+    """D, W and NNZ of the three header lines, and the doc, word and count
+    arrays for the triples, no longer than a file of ``size`` bytes can fill."""
+    vals = []
+    for lineno, line in enumerate(header, start=1):
+        try:
+            val = int(line.strip())
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: bad header line {line!r}") from None
+        if val < 0:
+            raise FormatError(f"{path}:{lineno}: negative header value")
+        if val >= 2**63:
+            raise FormatError(f"{path}:{lineno}: header value must be below 2**63")
+        vals.append(val)
+    n_docs, d, nnz = vals
+    idx = np.int32 if max(n_docs, d) < 2**31 else np.int64
+    try:   # the CSR's D + 1 row offsets, which no count of lines bounds
+        np.empty(n_docs + 1, idx)
+    except (MemoryError, ValueError):
+        raise FormatError(f"{path}:1: header promises {n_docs} documents, "
+                          f"too many to allocate {n_docs + 1} row offsets for") from None
+    # a valid triple line takes at least 6 bytes, the last one 5, so a
+    # regular file holds at most (size + 1) // 6 triples; a pipe's arrays
+    # start at _READ_BYTES triples.  Either way they grow as triples
+    # arrive, so a header's false promise allocates no more than that
+    n = min(nnz, _READ_BYTES if size is None else (size + 1) // 6)
+    return n_docs, d, nnz, (np.empty(n, idx), np.empty(n, idx), np.empty(n, np.int64))
 
-    A fault is reported in one order wherever it sits in the file: an
-    undecodable byte, then the header, then too few lines, then a non-blank
-    line past the promised triples, then the first malformed triple.  So
-    after a fault the rest of the file is still decoded and its lines counted.
-    """
 
-    def __init__(self, path: Path, size: Optional[int]):
-        self.path = path
-        self.size = size
-        self.header: List[str] = []
-        self.lines = 0        # lines fed so far, as str.splitlines counts them
-        self.text_lines = 0   # the same, as text mode counts them
-        self.n_docs = self.d = self.nnz = None
-        self.arrays: Optional[tuple] = None     # 0-based doc, 0-based word, count
-        self.fault: Optional[FormatError] = None   # in the header or a triple
-        self.extra: Optional[FormatError] = None   # a line past the promised triples
-
-    def feed(self, raw: bytes) -> None:
-        first = self.lines + 1
-        text = _decode(self.path, raw, self.text_lines + 1)
-        self.text_lines += _text_lines(raw)
-        lines = text.splitlines()
-        self.lines += len(lines)
-        if self.extra is not None:
-            return
-        if len(self.header) < 3:
-            start = 3 - len(self.header)
-            self.header += lines[:start]
-            if len(self.header) < 3:
-                return
-            self._read_header()
-            lines, first = lines[start:], first + start
-        if self.nnz is not None:
-            self._body(lines, first)
-
-    def _read_header(self) -> None:
-        vals = []
-        for i, line in enumerate(self.header):
-            try:
-                val = int(line.strip())
-            except ValueError:
-                self.fault = FormatError(f"{self.path}:{i + 1}: bad header line {line!r}")
-                return
-            if val < 0:
-                self.fault = FormatError(f"{self.path}:{i + 1}: negative header value")
-                return
-            if val >= 2**63:
-                self.fault = FormatError(f"{self.path}:{i + 1}: header value must be below 2**63")
-                return
-            vals.append(val)
-        idx = np.int32 if max(vals[:2]) < 2**31 else np.int64
-        try:   # the CSR's D + 1 row offsets, which no count of lines bounds
-            np.empty(vals[0] + 1, idx)
-        except (MemoryError, ValueError):
-            self.fault = FormatError(f"{self.path}:1: header promises {vals[0]} documents, "
-                                     f"too many to allocate {vals[0] + 1} row offsets for")
-            return
-        self.n_docs, self.d, self.nnz = vals
-        # a valid triple line takes at least 6 bytes, the last one 5, so a
-        # regular file holds at most (size + 1) // 6 triples; a pipe's arrays
-        # start at _READ_BYTES triples.  Either way they grow as triples
-        # arrive, so a header's false promise allocates no more than that
-        bound = _READ_BYTES if self.size is None else (self.size + 1) // 6
-        n = min(self.nnz, bound)
-        self.arrays = (np.empty(n, idx), np.empty(n, idx), np.empty(n, np.int64))
-
-    def _body(self, lines: List[str], first: int) -> None:
-        """Lines from line ``first`` on: triples up to line 3 + nnz, blank after it."""
-        n = min(len(lines), max(self.nnz + 4 - first, 0))
-        if n and self.fault is None:
-            self._parse(lines[:n], first)
-        extra = next((i for i in range(n, len(lines)) if lines[i].strip()), None)
-        if extra is not None:
-            self.extra = FormatError(f"{self.path}:{first + extra}: header promises "
-                                     f"{self.nnz} triples, found more")
-
-    def _parse(self, body: List[str], first: int) -> None:
-        """Triples of lines ``first``..; a fault is kept, not raised."""
-        rows = None
-        # one C-parsed pass; it accepts a subset of what int() does, with the
-        # same values, and anything it rejects goes to the line-by-line parse.
-        # A blank line here is a fault, and loadtxt would skip it.
-        if body[-1].strip():
-            try:
-                rows = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
-            except (ValueError, OverflowError):
-                pass
-        if rows is None or rows.shape != (len(body), 3) or not self._store(rows, first):
-            try:
-                self._store(_parse_triples(self.path, body, first, self.n_docs, self.d), first)
-            except FormatError as exc:
-                self.fault = exc
-
-    def _store(self, rows: np.ndarray, first: int) -> bool:
-        """Keep the triples of lines ``first``.. if every one is in range."""
-        doc, word, count = rows.T
-        if not np.all((doc >= 1) & (doc <= self.n_docs) & (word >= 1) & (word <= self.d)
-                      & (count > 0)):
-            return False
-        end = first - 4 + len(rows)
-        if end > len(self.arrays[0]):
-            grown = min(self.nnz, max(end, 2 * len(self.arrays[0])))
-            for arr in self.arrays:
-                arr.resize(grown, refcheck=False)   # realloc: no second copy held
-        doc_ids, word_ids, counts = self.arrays
-        doc_ids[first - 4:end] = doc - 1
-        word_ids[first - 4:end] = word - 1
-        counts[first - 4:end] = count
-        return True
-
-    def matrix(self) -> sp.csr_matrix:
-        """The counts as CSR, or the file's first fault in the order above."""
-        import scipy.sparse as sp
-
-        if self.lines < 3:
-            raise FormatError(f"{self.path}: expected 3 header lines (D, W, NNZ)")
-        if self.nnz is None:
-            raise self.fault
-        if self.lines - 3 < self.nnz:
-            raise FormatError(f"{self.path}: header promises {self.nnz} triples, "
-                              f"found {self.lines - 3}")
-        for fault in (self.extra, self.fault):
-            if fault is not None:
-                raise fault
-        doc, word, count = self.arrays
-        self.arrays = None
-        return sp.csr_matrix((count, (doc, word)), shape=(self.n_docs, self.d),
-                             dtype=np.int64)
+def _store_triples(path: Path, body: Sequence[str], first: int,
+                   arrays: Tuple[np.ndarray, ...], n_docs: int, d: int, nnz: int) -> None:
+    """The triples of lines ``first``.. of ``path``, 0-based, into ``arrays``
+    at their places, growing them (to at most ``nnz``) to fit; FormatError at
+    the first malformed triple."""
+    rows = None
+    # one C-parsed pass; it accepts a subset of what int() does, with the
+    # same values, and anything it rejects goes to the line-by-line parse.
+    # A blank line here is a fault, and loadtxt would skip it.
+    if body[-1].strip():
+        try:
+            rows = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
+        except (ValueError, OverflowError):
+            pass
+    if (rows is None or rows.shape != (len(body), 3) or rows.min() <= 0
+            or rows[:, 0].max() > n_docs or rows[:, 1].max() > d):
+        rows = _parse_triples(path, body, first, n_docs, d)
+    start, end = first - 4, first - 4 + len(rows)
+    if end > len(arrays[0]):
+        grown = min(nnz, max(end, 2 * len(arrays[0])))
+        for arr in arrays:
+            arr.resize(grown, refcheck=False)   # realloc: no second copy held
+    doc_ids, word_ids, counts = arrays
+    doc_ids[start:end] = rows[:, 0] - 1
+    word_ids[start:end] = rows[:, 1] - 1
+    counts[start:end] = rows[:, 2]
 
 
 def _parse_triples(path: Path, body: Sequence[str], first: int, n_docs: int,
@@ -291,8 +261,7 @@ def write_uci(corpus: Corpus, path) -> None:
 
 
 def read_vocab(path) -> List[str]:
-    fh = io.StringIO(_read_text(path), newline=None)
-    return [line.rstrip("\n") for line in fh if line.strip()]
+    return [line for line in _lines(path, Path(path).read_bytes()) if line.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +292,15 @@ def _parse(path, lineno: int, items: Sequence[str], kind) -> list:
 
 def read_topic_model(path) -> TopicModel:
     path = Path(path)
-    lines = _read_text(path).splitlines()
+    lines = _lines(path, path.read_bytes())
     if not lines or not lines[0].startswith(f"#{MODEL_TAG} v"):
         raise FormatError(f"{path}:1: missing '{MODEL_TAG}' format tag")
     try:
         version = int(lines[0].split("v")[-1])
     except ValueError:
         raise FormatError(f"{path}:1: unreadable version") from None
+    if version < 1:
+        raise FormatError(f"{path}:1: format version {version} is below 1")
     if version > MODEL_VERSION:
         raise FormatError(f"{path}: format version {version} is newer than supported "
                           f"{MODEL_VERSION}")
@@ -341,6 +312,8 @@ def read_topic_model(path) -> TopicModel:
         key, _, rest = line.partition("\t")
         if key == "topic":
             topics.append((lineno, _parse(path, lineno, rest.split("\t"), float)))
+        elif key in fields:
+            raise FormatError(f"{path}:{lineno}: repeated '{key}' field")
         else:
             fields[key] = (lineno, rest)
     for needed in ("d", "k", "family", "alpha"):
@@ -388,21 +361,27 @@ def write_ground_truth(assignments: Sequence[TopicAssignment], path) -> None:
 
 
 def read_ground_truth(path) -> List[TopicAssignment]:
+    """The records of a ground-truth file: the i-th names doc i, and its h is
+    a probability vector."""
+    lines = _lines(path, Path(path).read_bytes())
+    if not lines or not lines[0].startswith("doc\t"):
+        raise FormatError(f"{path}:1: missing ground-truth header")
     out = []
-    with io.StringIO(_read_text(path), newline=None) as fh:
-        header = fh.readline()
-        if not header.startswith("doc\t"):
-            raise FormatError(f"{path}:1: missing ground-truth header")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 columns")
-            h = np.array(_parse(path, lineno, parts[1].split(","), float))
-            zeta = np.array(_parse(path, lineno, parts[2].split(","), int), dtype=int)
-            try:
-                out.append(TopicAssignment(h=h, zeta=zeta))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise FormatError(f"{path}:{lineno}: expected 3 columns")
+        h = np.array(_parse(path, lineno, parts[1].split(","), float))
+        zeta = np.array(_parse(path, lineno, parts[2].split(","), int), dtype=int)
+        (doc,) = _parse(path, lineno, [parts[0]], int)
+        if doc != len(out):
+            raise FormatError(f"{path}:{lineno}: doc id {doc}, expected {len(out)}")
+        if not np.all(np.isfinite(h)) or improper_columns(h[:, None])[0]:
+            raise FormatError(f"{path}:{lineno}: h is not a probability vector")
+        try:
+            out.append(TopicAssignment(h=h, zeta=zeta))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
     return out

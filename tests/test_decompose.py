@@ -377,11 +377,11 @@ def test_learn_rejects_k_above_vocab():
         learn(corpus, gamma_family(1.0), 26, 1.0)
 
 
-def test_learn_rejects_a_negative_alpha0_in_the_weights_stage():
+def test_learn_rejects_a_negative_alpha0_at_input():
     corpus, _ = _small_corpus(gamma_family(1.0), seed=12, n_docs=50)
     with pytest.raises(StageError) as exc:
         learn(corpus, gamma_family(1.0), 3, -1.0)
-    assert exc.value.stage == "weights"
+    assert exc.value.stage == "input"
 
 
 def test_learn_deterministic_given_seed():

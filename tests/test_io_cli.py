@@ -315,6 +315,26 @@ def test_uci_too_few_lines_is_reported_before_a_bad_row(tmp_path):
     assert str(exc.value) == f"{p}: header promises {10**15} triples, found 1"
 
 
+@pytest.mark.parametrize("blank", ["\f", "\v", "\u0085", "\u2028", "\x1c"],
+                         ids=["ff", "vt", "nel", "ls", "fs"])
+def test_uci_other_breaks_are_whitespace_inside_a_line(tmp_path, small_blocks, blank):
+    # only \n, \r\n and a lone \r end a line, so the bad row is line 6, as
+    # an editor numbers it; no seventh line is counted as a triple too many
+    p = tmp_path / "c.uci"
+    p.write_bytes(f"3\n3\n3\n1 1 1{blank}\n2 2 2\n3 3 x\n".encode("utf-8"))
+    with pytest.raises(FormatError) as exc:
+        read_uci(p)
+    assert str(exc.value) == f"{p}:6: non-integer field"
+    p.write_bytes(f"3\n3\n3\n1 1 1{blank}\n2 2 2\n3 3 3\n".encode("utf-8"))
+    assert read_uci(p).counts.toarray().tolist() == [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
+
+
+def test_uci_form_feed_between_fields_is_one_triple(tmp_path, small_blocks):
+    p = tmp_path / "c.uci"
+    p.write_bytes(b"3\n3\n2\n1 1 1\n2 2 \x0c2\n")
+    assert read_uci(p).counts.toarray().tolist() == [[1, 0, 0], [0, 2, 0], [0, 0, 0]]
+
+
 def test_read_uci_peak_memory_per_nonzero(tmp_path):
     import tracemalloc
 
@@ -426,6 +446,35 @@ def test_model_improper_topic_names_its_line(tmp_path, scale):
     assert f"{p}:7:" in str(exc.value)
 
 
+def test_model_form_feed_inside_a_topic_line_reads(tmp_path):
+    model = _model()
+    p = tmp_path / "m.tsv"
+    write_topic_model(model, p)
+    p.write_bytes(p.read_bytes().replace(b"topic\t", b"topic\t\x0c", 1))
+    assert np.array_equal(read_topic_model(p).A, model.A)
+
+
+@pytest.mark.parametrize("field, lineno", [("d", 2), ("k", 3), ("family", 4), ("alpha", 5)])
+def test_model_repeated_field_names_its_line(tmp_path, field, lineno):
+    p = tmp_path / "m.tsv"
+    write_topic_model(_model(), p)
+    lines = p.read_text().splitlines(keepends=True)
+    p.write_text("".join(lines + [lines[lineno - 1]]))
+    with pytest.raises(FormatError) as exc:
+        read_topic_model(p)
+    assert str(exc.value) == f"{p}:{len(lines) + 1}: repeated '{field}' field"
+
+
+@pytest.mark.parametrize("tag", ["v-2", "v0"])
+def test_model_rejects_a_version_below_one(tmp_path, tag):
+    p = tmp_path / "m.tsv"
+    write_topic_model(_model(), p)
+    p.write_text(p.read_text().replace("v1", tag, 1))
+    with pytest.raises(FormatError) as exc:
+        read_topic_model(p)
+    assert str(exc.value).startswith(f"{p}:1: format version ")
+
+
 def test_ground_truth_topic_out_of_range_names_its_line(tmp_path):
     p = tmp_path / "t.tsv"
     p.write_text("doc\th\tzeta\n0\t0.5,0.5\t1,0\n1\t0.25,0.75\t0,2\n")
@@ -449,6 +498,23 @@ def test_ground_truth_bad_field_names_its_line(tmp_path, row):
     with pytest.raises(FormatError) as exc:
         read_ground_truth(p)
     assert f"{p}:3:" in str(exc.value)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("x\t0.25,0.75\t0,1\n", "bad int value 'x'"),
+    ("0\t0.25,0.75\t0,1\n", "doc id 0, expected 1"),
+    ("2\t0.25,0.75\t0,1\n", "doc id 2, expected 1"),
+    ("1\tnan,0.75\t0,1\n", "h is not a probability vector"),
+    ("1\tinf,0.75\t0,1\n", "h is not a probability vector"),
+    ("1\t-0.25,1.25\t0,1\n", "h is not a probability vector"),
+    ("1\t0.25,0.5\t0,1\n", "h is not a probability vector"),
+])
+def test_ground_truth_record_checks_name_their_line(tmp_path, row, message):
+    p = tmp_path / "t.tsv"
+    p.write_text("doc\th\tzeta\n0\t0.5,0.5\t1,0\n" + row)
+    with pytest.raises(FormatError) as exc:
+        read_ground_truth(p)
+    assert str(exc.value) == f"{p}:3: {message}"
 
 
 def test_ground_truth_round_trip(tmp_path):
@@ -664,6 +730,62 @@ def test_cli_tune_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("family\talpha0")
     assert "best\tgamma:1" in out
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["learn", "--family", "gamma:1", "--k", "2", "--alpha0", "abc"], "--alpha0"),
+    (["learn", "--family", "gamma:1", "--k", "2", "--alpha0", "-1"], "--alpha0"),
+    (["learn", "--family", "gamma:1", "--k", "2", "--alpha0", "nan"], "--alpha0"),
+    (["learn", "--family", "gamma:1", "--k", "2", "--alpha0", "Fit"], "--alpha0"),
+    (["tune", "--k", "2", "--grid", "gamma:1@x"], "--grid"),
+    (["tune", "--k", "2", "--grid", "gamma:1@1,0"], "--grid"),
+])
+def test_cli_malformed_number_is_a_usage_error_before_the_corpus_is_read(
+        tmp_path, capsys, argv, flag):
+    # the corpus does not exist: reading it would be a runtime error, exit 2
+    argv = argv + ["--corpus", str(tmp_path / "missing.uci")]
+    if argv[0] == "learn":
+        argv += ["--out", str(tmp_path / "m.tsv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and flag in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["generate", "--family", "gamma:1", "--k", "3", "--d", "5", "--docs", "2", "--len", "3",
+      "--alpha", "1,,2"], "--alpha"),
+    (["generate", "--family", "gamma:1", "--k", "3", "--d", "5", "--docs", "2", "--len", "3",
+      "--alpha0", "nan"], "--alpha0"),
+    (["correlate", "--family", "gamma", "--sweep", "0.5:2:3", "--alpha", "1,a"], "--alpha"),
+    (["weights", "--family", "gamma:1", "--alpha0", "-1"], "--alpha0"),
+])
+def test_cli_malformed_alpha_is_a_usage_error(tmp_path, capsys, argv, flag):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("alpha0", [-1.0, float("nan"), 0.0, float("inf"), "Fit"])
+def test_learn_rejects_a_bad_alpha0_before_the_corpus_stage(monkeypatch, alpha0):
+    import importlib
+
+    from nidtopics.decompose import StageError, learn, learn_from_moments
+
+    decompose = importlib.import_module("nidtopics.decompose")
+
+    corpus = corpus_from_docs([{0: 2, 1: 1}, {1: 3, 2: 1}, {0: 1, 2: 2}], d=3)
+    ms = decompose.accumulate(corpus)
+
+    def corpus_stage(*args, **kwargs):
+        raise AssertionError("the corpus stage ran")
+
+    monkeypatch.setattr(decompose, "accumulate", corpus_stage)
+    monkeypatch.setattr(decompose, "project", corpus_stage)
+    for run in (lambda: learn(corpus, gamma_family(1.0), 2, alpha0),
+                lambda: learn_from_moments(ms, gamma_family(1.0), 2, alpha0)):
+        with pytest.raises(StageError) as exc:
+            run()
+        assert exc.value.stage == "input" and "alpha0" in str(exc.value)
 
 
 def _run_twice(tmp_path, argv, out_name):
