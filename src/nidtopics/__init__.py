@@ -14,12 +14,12 @@ from .families import (
 from .mcmc import ChainResult, ChainState, posterior_mean_h, run_chain
 from .moments import MomentSet, accumulate, build_m2, build_whitened_m3, exact_moment_set
 from .nid import (
-    NIDModel, correlation_profile, ig_mean_correlation_profile, moment,
+    NIDModel, correlation_profile, ig_mean_correlation_profile,
     moment_matrix, moment_tensor, moment_vector, sample,
 )
 from .synth import SynthConfig, TopicAssignment, generate
 from .tuner import TuneCandidate, TuneReport, tune
-from .weights import OmegaSpec, Weights, compute_weights, omega
+from .weights import Weights, compute_weights, omega
 
 __all__ = [
     "Corpus", "corpus_from_docs",
@@ -31,9 +31,9 @@ __all__ = [
     "parse_family", "psi", "psi_deriv", "stable_family",
     "ChainResult", "ChainState", "posterior_mean_h", "run_chain",
     "MomentSet", "accumulate", "build_m2", "build_whitened_m3", "exact_moment_set",
-    "NIDModel", "correlation_profile", "ig_mean_correlation_profile", "moment",
+    "NIDModel", "correlation_profile", "ig_mean_correlation_profile",
     "moment_matrix", "moment_tensor", "moment_vector", "sample",
     "SynthConfig", "TopicAssignment", "generate",
     "TuneCandidate", "TuneReport", "tune",
-    "OmegaSpec", "Weights", "compute_weights", "omega",
+    "Weights", "compute_weights", "omega",
 ]

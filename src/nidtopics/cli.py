@@ -174,8 +174,8 @@ def _cmd_weights(args) -> int:
 
 def _cmd_learn(args) -> int:
     power = PowerMethodConfig(n_iterations=args.iterations, seed=args.seed)
-    corpus = nio.read_uci(args.corpus)
     family = parse_family(args.family)
+    corpus = nio.read_uci(args.corpus)
     model = learn(corpus, family, args.k, args.alpha0, power)
     nio.write_topic_model(model, args.out)
     eigs = model.diagnostics.get("lambdas", [])

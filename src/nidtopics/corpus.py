@@ -51,14 +51,6 @@ class Corpus:
         idx = np.asarray(indices, dtype=int)
         return Corpus(self.counts[idx])
 
-    def permute_vocab(self, perm: Sequence[int]) -> "Corpus":
-        """Relabel word ids: new id perm[w] for old id w."""
-        import scipy.sparse as sp
-
-        perm = np.asarray(perm, dtype=int)
-        mat = self.counts.tocoo()
-        return Corpus(sp.csr_matrix((mat.data, (mat.row, perm[mat.col])), shape=mat.shape))
-
 
 def corpus_from_docs(docs: Iterable[dict | Sequence], d: int) -> Corpus:
     """Build a corpus from per-document {word_id: count} mappings

@@ -53,10 +53,6 @@ class ChainResult:
     acceptance_rate: float = 1.0
 
 
-def topic_counts(zeta: np.ndarray, k: int) -> np.ndarray:
-    return np.bincount(zeta, minlength=k)
-
-
 def run_chain(doc, model: TopicModel, n_steps: int, burn_in: int,
               proposal_concentration: float = 50.0, seed: int = 0,
               thin: int = 1) -> ChainResult:
@@ -87,7 +83,7 @@ def run_chain(doc, model: TopicModel, n_steps: int, burn_in: int,
     zeta = _gibbs_zeta(a_doc, z, rng)
     states: List[ChainState] = []
     for step in range(n_steps):
-        n_i = topic_counts(zeta, k)
+        n_i = np.bincount(zeta, minlength=k)
         u = rng.gamma(doc.size, 1.0 / total) if doc.size else 0.0
         z = draw_z(n_i, u, rng)
         total = z.sum()

@@ -67,20 +67,6 @@ def _omega(model: NIDModel, m: int, n: int, p: int) -> float:
     return omega(model.family, model.alpha0, (m, n, p))
 
 
-def moment(model: NIDModel, r) -> float:
-    """Exact moment E[prod_i h_i^{r_i}] of order 1..3: one entry of
-    ``moment_vector``, ``moment_matrix`` or ``moment_tensor``."""
-    r = np.asarray(r)
-    if r.shape != (model.k,) or np.any(r != np.round(r)) or np.any(r < 0):
-        raise ValueError("multi-index must be a nonnegative integer vector of length k")
-    r = r.astype(int)
-    order = int(r.sum())
-    if not 1 <= order <= 3:
-        raise ValueError(f"moment order must be in 1..3, got {order}")
-    arrays = (moment_vector, moment_matrix, moment_tensor)
-    return float(arrays[order - 1](model)[tuple(np.repeat(np.arange(model.k), r))])
-
-
 def moment_vector(model: NIDModel) -> np.ndarray:
     """E[h] = omega(0,1,0) alpha, which is alpha / alpha0 for every family."""
     return _omega(model, 0, 1, 0) * model.alpha
@@ -229,24 +215,29 @@ def _tilted_sampler(family: IDFamily, alpha: np.ndarray) -> Callable:
     _require_closed_form(family)
     if family.kind == GAMMA:
         rate = family.param
-        return lambda n, U, rng: rng.gamma(alpha + n, 1.0 / (rate + U))
-    b = alpha * alpha
-    a0 = family.param ** 2 if family.kind == INVGAUSS else 0.0
+        tilted = lambda n, U, rng: rng.gamma(alpha + n, 1.0 / (rate + U))
+    else:
+        b = alpha * alpha
+        a0 = family.param ** 2 if family.kind == INVGAUSS else 0.0
+        tilted = lambda n, U, rng: _gig(n - 0.5, 2.0 * U + a0, b, rng)
 
     def draw(n, U, rng):
-        if U == 0.0:   # no words; stable:0.5 would need GIG with a = 0
-            return _draw_unnormalized(family, alpha, rng, 1)[0]
-        return _gig(n - 0.5, 2.0 * U + a0, b, rng)
+        # no words: a prior draw, redrawn as ``sample`` does where a small
+        # alpha underflows it to 0; stable:0.5 would need GIG with a = 0
+        if U == 0.0:
+            return _draw_positive(family, alpha, rng, 1)[0]
+        return tilted(n, U, rng)
     return draw
 
 
 _MAX_RETRIES = 50
 
 
-def sample(model: NIDModel, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Simplex draws; shape (k,) for size=None, else (size, k)."""
-    n = 1 if size is None else int(size)
-    z = _draw_unnormalized(model.family, model.alpha, rng, n)
+def _draw_positive(family: IDFamily, alpha: np.ndarray,
+                   rng: np.random.Generator, n: int) -> np.ndarray:
+    """n unnormalized prior draws, shape (n, k), with every nonpositive or
+    nonfinite entry redrawn."""
+    z = _draw_unnormalized(family, alpha, rng, n)
     tries = 0
     # two reductions settle the common, all-valid case; NaN fails both
     while z.size and not (np.minimum.reduce(z, axis=None) > 0.0
@@ -257,9 +248,16 @@ def sample(model: NIDModel, rng: np.random.Generator, size: int | None = None) -
             raise SamplerError(f"{bad.sum()} draws stayed nonpositive/nonfinite "
                                f"after {_MAX_RETRIES} retries")
         idx = np.nonzero(bad)
-        alpha_full = np.broadcast_to(model.alpha, z.shape)
-        redraw = _draw_unnormalized(model.family, alpha_full[idx], rng, 1)
+        alpha_full = np.broadcast_to(alpha, z.shape)
+        redraw = _draw_unnormalized(family, alpha_full[idx], rng, 1)
         z[idx] = redraw[0]
+    return z
+
+
+def sample(model: NIDModel, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Simplex draws; shape (k,) for size=None, else (size, k)."""
+    n = 1 if size is None else int(size)
+    z = _draw_positive(model.family, model.alpha, rng, n)
     h = z / np.add.reduce(z, axis=1, keepdims=True)
     return h[0] if size is None else h
 

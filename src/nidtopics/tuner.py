@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .corpus import Corpus
-from .decompose import StageError, TopicModel, _learn_projected, project
+from .decompose import StageError, TopicModel, _check_alpha0, _learn_projected, project
 from .evaluate import perplexity
 from .families import IDFamily
 from .moments import accumulate
@@ -87,6 +87,14 @@ def tune(corpus: Corpus, k: int,
                   for c in search_space]
     if not candidates:
         raise TunerError("empty search space")
+    # checked before the corpus stage, which every candidate shares
+    for cand in candidates:
+        try:
+            _check_alpha0(cand.alpha0)
+        except (StageError, TypeError) as exc:
+            raise TunerError(f"{cand.family.spec()}@{cand.alpha0}: {exc}") from exc
+    if n_h_samples < 1:
+        raise TunerError(f"n_h_samples must be at least 1, got {n_h_samples}")
     train_idx, val_idx = split_corpus(corpus, split, seed)
     train = corpus.subset(train_idx)
     val = corpus.subset(val_idx)

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -72,22 +71,6 @@ _INVGAUSS_C = (1.0, -1.0, 3.0)
 # (its e^x overflows near 700); hyperu is off by 1e-8 at x = 10 and within
 # 1e-15 from x = 100 up.
 _HYPERU_FROM = 100.0
-
-
-@dataclass(frozen=True)
-class OmegaSpec:
-    m: int
-    n: int
-    p: int
-
-    def __post_init__(self):
-        if (self.m, self.n, self.p) not in ACCEPTED_SPECS:
-            raise ValueError(
-                f"unsupported omega spec {(self.m, self.n, self.p)}; "
-                f"accepted: {ACCEPTED_SPECS}")
-
-    def as_tuple(self) -> Tuple[int, int, int]:
-        return (self.m, self.n, self.p)
 
 
 @dataclass(frozen=True)
@@ -124,11 +107,12 @@ def _invgauss_sum(m: int, q: int, x: float) -> float:
 
 def omega(family: IDFamily, alpha0: float, spec) -> float:
     """omega(m, n, p) of ``family`` at total concentration ``alpha0``, in closed form."""
-    if not isinstance(spec, OmegaSpec):
-        spec = OmegaSpec(*spec)
+    spec = tuple(spec)
+    if spec not in ACCEPTED_SPECS:
+        raise ValueError(f"unsupported omega spec {spec}; accepted: {ACCEPTED_SPECS}")
     if alpha0 <= 0 or not np.isfinite(alpha0):
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
-    m, n, p = spec.as_tuple()
+    m, n, p = spec
     if family.kind == GAMMA:
         # B(m+1, b) = m! / (b (b+1) ... (b+m)), with b's integer part added last
         b = alpha0 + (n + p - m - 1)
@@ -155,16 +139,3 @@ def compute_weights(family: IDFamily, alpha0: float) -> Weights:
     v1 = -w221 / (2.0 * w120 * w0)
     v2 = -(0.5 * w212 + 3.0 * v1 * w111 * w0) / w0**3
     return Weights(float(v), float(v1), float(v2))
-
-
-def gamma_closed_form(alpha0: float) -> Weights:
-    """Known closed form for the gamma (Dirichlet) family."""
-    v = -alpha0 / (alpha0 + 1.0)
-    v1 = -alpha0 / (alpha0 + 2.0)
-    v2 = 2.0 * alpha0**2 / ((alpha0 + 2.0) * (alpha0 + 1.0))
-    return Weights(v, v1, v2)
-
-
-def half_stable_closed_form() -> Weights:
-    """Exact triple for the 1/2-stable family (independent of alpha0)."""
-    return Weights(-0.5, -0.25, 0.125)

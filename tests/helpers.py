@@ -1,5 +1,5 @@
-"""Shared test utilities: finite-difference, moment and density oracles,
-the centred moments of h, tensor masks.
+"""Shared test utilities: finite-difference, moment, weight and density
+oracles, the centred moments of h, tensor masks.
 
 The moment and density oracles integrate with ``quadrature.py`` (in this
 directory), an integrator the package itself does not use."""
@@ -8,9 +8,10 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from nidtopics import NIDModel, psi, psi_deriv
+from nidtopics import (
+    NIDModel, Weights, moment_matrix, moment_tensor, moment_vector, psi, psi_deriv,
+)
 from nidtopics.families import GAMMA, INVGAUSS, STABLE, DomainError
-from nidtopics.mcmc import topic_counts
 from nidtopics.moments import build_m2, build_whitened_m3, exact_moment_set, project_moments
 from nidtopics.nid import UnsupportedFamilyError, _require_closed_form
 
@@ -68,6 +69,25 @@ def centred_moments(model, weights):
     I = np.eye(model.k)
     p = project_moments(exact_moment_set(model, I), I)
     return build_m2(p, weights), build_whitened_m3(p, weights, I)
+
+
+def moment(model, r):
+    """Exact E[prod h_i^{r_i}] of order 1..3: one entry of the package's moment arrays."""
+    arrays = (moment_vector, moment_matrix, moment_tensor)
+    return float(arrays[sum(r) - 1](model)[tuple(np.repeat(np.arange(model.k), r))])
+
+
+def gamma_closed_form(alpha0):
+    """The centring weights of the gamma (Dirichlet) family in closed form."""
+    v = -alpha0 / (alpha0 + 1.0)
+    v1 = -alpha0 / (alpha0 + 2.0)
+    v2 = 2.0 * alpha0**2 / ((alpha0 + 2.0) * (alpha0 + 1.0))
+    return Weights(v, v1, v2)
+
+
+def half_stable_closed_form():
+    """The centring weights of the 1/2-stable family, the same at every alpha0."""
+    return Weights(-0.5, -0.25, 0.125)
 
 
 def dirichlet_moment(alpha, r):
@@ -207,6 +227,6 @@ def log_posterior(h, zeta, doc, model):
     else:
         val = density(NIDModel(model.family, model.alpha), h)
         prior = float(np.log(val)) if val > 0.0 else -np.inf
-    n_i = topic_counts(zeta, model.k)
+    n_i = np.bincount(zeta, minlength=model.k)
     word_term = float(np.log(model.A[doc, zeta]).sum()) if doc.size else 0.0
     return prior + float((n_i * np.log(h)).sum()) + word_term

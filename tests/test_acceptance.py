@@ -23,7 +23,7 @@ from nidtopics.cli import main as cli_main
 from nidtopics.tuner import split_corpus
 from nidtopics.util import match_columns
 
-from helpers import centred_moments, offdiag_matrix, offdiag_tensor
+from helpers import centred_moments, moment, offdiag_matrix, offdiag_tensor
 
 
 @contextmanager
@@ -189,7 +189,7 @@ def test_criterion_4_moment_oracle():
                 vals = np.prod(draws ** r[None, :], axis=1)
                 mc = vals.mean()
                 se = vals.std(ddof=1) / math.sqrt(vals.size)
-                quad = nt.moment(model, r)
+                quad = moment(model, r)
                 assert abs(quad - mc) < 3.0 * se + 1e-12, (family.spec(), r.tolist())
 
 

@@ -7,6 +7,21 @@ import pytest
 import nidtopics
 
 
+def test_public_surface_is_pinned():
+    # an addition to or removal from the package's API shows up here as a diff
+    assert sorted(nidtopics.__all__) == [
+        "ChainResult", "ChainState", "Corpus", "DecompositionResult", "IDFamily",
+        "MomentSet", "NIDModel", "PowerMethodConfig", "RankDeficiencyError", "StageError",
+        "SynthConfig", "TopicAssignment", "TopicModel", "TuneCandidate", "TuneReport",
+        "Weights", "accumulate", "build_m2", "build_whitened_m3", "compute_weights",
+        "corpus_from_docs", "correlation_profile", "decompose", "exact_moment_set",
+        "gamma_family", "generate", "ig_mean_correlation_profile", "invgauss_family",
+        "learn", "moment_matrix", "moment_tensor", "moment_vector", "omega",
+        "parse_family", "perplexity", "pmi", "posterior_mean_h", "psi", "psi_deriv",
+        "recover", "run_chain", "sample", "stable_family", "top_words", "tune", "whiten",
+    ]
+
+
 def test_every_exported_name_resolves_and_appears_once():
     names = nidtopics.__all__
     assert len(names) == len(set(names)), sorted({n for n in names if names.count(n) > 1})

@@ -9,12 +9,14 @@ from nidtopics import (
     NIDModel, PowerMethodConfig, RankDeficiencyError, StageError,
     SynthConfig, TopicModel, accumulate, build_m2, build_whitened_m3,
     compute_weights, decompose, exact_moment_set, gamma_family, generate,
-    invgauss_family, learn, moment, moment_vector, recover, stable_family, whiten,
+    invgauss_family, learn, moment_vector, recover, stable_family, whiten,
 )
 from nidtopics import weights
 from nidtopics.decompose import RecoveryError, _rayleigh, _tensor_apply, learn_from_moments
 from nidtopics.moments import project_moments
 from nidtopics.util import match_columns
+
+from helpers import moment
 
 # the package's ``decompose`` attribute is the function; this is its module
 decompose_module = importlib.import_module("nidtopics.decompose")

@@ -621,6 +621,14 @@ def test_cli_weights_bad_family(capsys):
     assert main(["weights", "--family", "nope:1", "--alpha0", "1"]) == 2
 
 
+def test_cli_learn_parses_the_family_before_reading_the_corpus(tmp_path, capsys):
+    rc = main(["learn", "--corpus", str(tmp_path / "missing.uci"), "--family", "nope:1",
+               "--k", "2", "--out", str(tmp_path / "m.tsv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "unknown family 'nope'" in err and "missing.uci" not in err
+
+
 def test_cli_generate_learn_eval_round_trip(tmp_path, capsys):
     corpus_path = str(tmp_path / "c.uci")
     rc = main(["--seed", "7", "generate", "--family", "invgauss:4", "--k", "3",

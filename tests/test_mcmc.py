@@ -1,4 +1,5 @@
 import logging
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ from nidtopics import (
     NIDModel, TopicModel, gamma_family, invgauss_family, parse_family,
     posterior_mean_h, run_chain, stable_family,
 )
-from nidtopics.mcmc import topic_counts
 
 from helpers import density, dirichlet_logpdf, log_posterior
 
@@ -30,7 +30,7 @@ def test_log_posterior_matches_conjugate_differences():
     model = _two_topic_model()
     doc = _doc(12, 8)
     zeta = doc.copy()  # identity emission fixes assignments
-    counts = topic_counts(zeta, 2)
+    counts = np.bincount(zeta, minlength=2)
     post_conc = model.alpha + counts
     h_a = np.array([0.3, 0.7])
     h_b = np.array([0.6, 0.4])
@@ -49,18 +49,13 @@ def test_uniform_emissions_make_word_term_constant():
     vals = []
     for _ in range(4):
         zeta = rng.integers(0, k, size=doc.size)
-        counts = topic_counts(zeta, k)
+        counts = np.bincount(zeta, minlength=k)
         lp = log_posterior(h, zeta, doc, model)
         # strip the h-mixing term; the remainder must be N*log(1/d) + prior
         vals.append(lp - float((counts * np.log(h)).sum()))
     assert np.allclose(vals, vals[0], atol=1e-12)
     assert vals[0] == pytest.approx(
         dirichlet_logpdf(h, model.alpha) + doc.size * np.log(1.0 / d), abs=1e-12)
-
-
-def test_topic_counts_bookkeeping():
-    zeta = np.array([0, 2, 2, 1, 2])
-    assert topic_counts(zeta, 4).tolist() == [1, 1, 3, 0]
 
 
 def test_log_posterior_validates_inputs():
@@ -90,6 +85,19 @@ def test_empty_document_samples_prior():
     mean = posterior_mean_h(res)
     prior_mean = model.alpha / model.alpha.sum()
     assert np.max(np.abs(mean - prior_mean)) < 0.03
+
+
+def test_empty_document_under_small_alpha_stays_on_the_simplex():
+    # Gamma(1e-3) draws underflow to 0 about half the time, so an unredrawn
+    # prior draw is all zeros in about a quarter of the steps
+    model = TopicModel(A=np.full((5, 2), 0.2), alpha=np.array([1e-3, 1e-3]),
+                       family=gamma_family(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(20):
+            res = run_chain(np.array([], dtype=int), model, 20, 5, seed=seed)
+            for state in res.states:
+                assert np.all(state.h >= 0.0) and state.h.sum() == pytest.approx(1.0)
 
 
 def test_chain_deterministic_given_seed():

@@ -9,6 +9,8 @@ from nidtopics import (
     generate, invgauss_family, moment_matrix, moment_vector, sample, synth,
 )
 
+from helpers import moment
+
 
 def _random_model(d, k, seed, family=None, alpha=None):
     rng = np.random.default_rng(seed)
@@ -90,7 +92,6 @@ def test_short_doc_pipeline_closes_loop():
     ms = accumulate(corpus)
     prior = NIDModel(gamma_family(1.0), alpha)
     r = np.array([1, 1, 1])
-    from nidtopics import moment
     expected = moment(prior, r)
     eye = np.eye(3)
     got = ms.triple(eye)[0, 1, 2]

@@ -126,6 +126,22 @@ def test_all_failures_aggregate():
     assert "every candidate failed" in str(exc.value)
 
 
+@pytest.mark.parametrize("space, kwargs, named", [
+    ([(gamma_family(1.0), 1.0), (gamma_family(1.0), -1.0)], {}, "gamma:1@-1.0"),
+    ([(gamma_family(1.0), float("nan"))], {}, "gamma:1@nan"),
+    ([(invgauss_family(4.0), "guess")], {}, "invgauss:4@guess"),
+    ([(gamma_family(1.0), 1.0)], {"n_h_samples": 0}, "n_h_samples"),
+], ids=["negative", "nan", "string", "no-samples"])
+def test_bad_inputs_fail_before_the_corpus_stage(monkeypatch, space, kwargs, named):
+    def refuse(train):
+        raise AssertionError("the corpus stage ran")
+
+    monkeypatch.setattr(tuner, "accumulate", refuse)
+    corpus = _corpus(gamma_family(1.0), seed=6, n_docs=40)
+    with pytest.raises(TunerError, match=named):
+        tune(corpus, 3, space, seed=0, **kwargs)
+
+
 def test_empty_search_space():
     corpus = _corpus(gamma_family(1.0), seed=6, n_docs=40)
     with pytest.raises(TunerError):

@@ -2,22 +2,24 @@ import numpy as np
 import pytest
 
 from nidtopics import (
-    NIDModel, OmegaSpec, Weights, compute_weights, gamma_family,
+    NIDModel, Weights, compute_weights, gamma_family,
     invgauss_family, omega, psi, psi_deriv, stable_family,
 )
-from nidtopics.weights import ACCEPTED_SPECS, gamma_closed_form, half_stable_closed_form
+from nidtopics.weights import ACCEPTED_SPECS
 
-from helpers import centred_moments, offdiag_matrix, offdiag_tensor
+from helpers import (
+    centred_moments, gamma_closed_form, half_stable_closed_form, offdiag_matrix, offdiag_tensor,
+)
 
 FAMILIES = [gamma_family(1.0), invgauss_family(2.0), stable_family(0.6)]
 
 
 def test_omega_spec_validation():
-    OmegaSpec(0, 1, 0)
-    with pytest.raises(ValueError):
-        OmegaSpec(3, 1, 0)
-    with pytest.raises(ValueError):
-        OmegaSpec(1, 1, 0)
+    omega(gamma_family(1.0), 1.0, (0, 1, 0))
+    with pytest.raises(ValueError, match="unsupported omega spec"):
+        omega(gamma_family(1.0), 1.0, (3, 1, 0))
+    with pytest.raises(ValueError, match="unsupported omega spec"):
+        omega(gamma_family(1.0), 1.0, (1, 1, 0))
 
 
 def test_weights_must_be_finite():
