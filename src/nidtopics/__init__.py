@@ -17,7 +17,7 @@ from .nid import (
     NIDModel, correlation_profile, ig_mean_correlation_profile,
     moment_matrix, moment_tensor, moment_vector, sample,
 )
-from .synth import SynthConfig, TopicAssignment, generate
+from .synth import SynthConfig, generate
 from .tuner import TuneCandidate, TuneReport, tune
 from .weights import Weights, compute_weights, omega
 
@@ -33,7 +33,7 @@ __all__ = [
     "MomentSet", "accumulate", "build_m2", "build_whitened_m3", "exact_moment_set",
     "NIDModel", "correlation_profile", "ig_mean_correlation_profile",
     "moment_matrix", "moment_tensor", "moment_vector", "sample",
-    "SynthConfig", "TopicAssignment", "generate",
+    "SynthConfig", "generate",
     "TuneCandidate", "TuneReport", "tune",
     "Weights", "compute_weights", "omega",
 ]

@@ -71,7 +71,7 @@ def build_parser() -> _Parser:
     g.add_argument("--alpha0", type=_positive, default=1.0)
     g.add_argument("--alpha", type=_alpha_vector, default=None,
                    help="comma-separated concentration vector (overrides --alpha0 split)")
-    g.add_argument("--topic-concentration", type=float, default=0.1,
+    g.add_argument("--topic-concentration", type=_positive, default=0.1,
                    help="Dirichlet concentration for the random topic columns")
     g.add_argument("--out", required=True)
 
@@ -145,6 +145,9 @@ def _note(args, msg: str):
 
 
 def _cmd_generate(args) -> int:
+    for flag, val in (("--k", args.k), ("--d", args.d)):
+        if val < 1:
+            raise UsageError(f"{flag} is {val}, must be at least 1")
     family = parse_family(args.family)
     rng = np.random.default_rng(args.seed)
     if args.alpha is not None:
@@ -155,11 +158,10 @@ def _cmd_generate(args) -> int:
         alpha = np.full(args.k, args.alpha0 / args.k)
     A = rng.dirichlet(np.full(args.d, args.topic_concentration), size=args.k).T
     model = TopicModel(A=A, alpha=alpha, family=family)
-    corpus, assignments = generate(model, SynthConfig(args.docs, args.doc_len,
-                                                      seed=args.seed))
+    corpus, latents = generate(model, SynthConfig(args.docs, args.doc_len, seed=args.seed))
     nio.write_uci(corpus, args.out)
     nio.write_topic_model(model, args.out + ".model.tsv")
-    nio.write_ground_truth(assignments, args.out + ".truth.tsv")
+    nio.write_ground_truth(latents, args.out + ".truth.tsv")
     _note(args, f"wrote {args.docs} docs (d={args.d}) to {args.out} "
                 f"+ .model.tsv + .truth.tsv")
     return 0

@@ -93,8 +93,8 @@ class DecompositionResult:
 
 
 def improper_columns(A: np.ndarray) -> np.ndarray:
-    """Which columns of A are not probability vectors (to rounding)."""
-    return (A < -1e-12).any(axis=0) | (np.abs(A.sum(axis=0) - 1.0) > 1e-8)
+    """Which columns of A are not probability vectors (to rounding, and NaN-safe)."""
+    return ~((A >= -1e-12).all(axis=0) & (np.abs(A.sum(axis=0) - 1.0) <= 1e-8))
 
 
 @dataclass
@@ -115,8 +115,8 @@ class TopicModel:
             raise ValueError("alpha length must match the number of topics")
         if improper_columns(self.A).any():
             raise ValueError("columns of A must be probability vectors")
-        if np.any(self.alpha <= 0.0):
-            raise ValueError("alpha entries must be positive")
+        if not np.all(np.isfinite(self.alpha) & (self.alpha > 0.0)):
+            raise ValueError("alpha entries must be positive and finite")
 
     @property
     def d(self) -> int:
@@ -396,8 +396,8 @@ def learn(corpus: Corpus, family: IDFamily, k: int, alpha0: Union[float, str],
     """
     if corpus.n_docs == 0:
         raise StageError("input", ValueError("empty corpus"))
-    if k > corpus.d:
-        raise StageError("input", ValueError(f"k={k} exceeds vocabulary size {corpus.d}"))
+    if not 1 <= k <= corpus.d:
+        raise StageError("input", ValueError(f"k={k} outside 1..{corpus.d} (vocabulary size)"))
     _check_alpha0(alpha0)
 
     with _stage("moments"):

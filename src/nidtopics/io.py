@@ -37,7 +37,6 @@ import numpy as np
 from .corpus import Corpus
 from .decompose import TopicModel, improper_columns
 from .families import parse_family
-from .synth import TopicAssignment
 
 MODEL_TAG = "nid-topic-model"
 MODEL_VERSION = 1
@@ -331,8 +330,8 @@ def read_topic_model(path) -> TopicModel:
     if alpha.size != k:
         raise FormatError(f"{path}:{lineno}: alpha line has {alpha.size} entries, "
                           f"expected k={k}")
-    if np.any(alpha <= 0.0):
-        raise FormatError(f"{path}:{lineno}: alpha entries must be positive")
+    if not np.all(np.isfinite(alpha) & (alpha > 0.0)):
+        raise FormatError(f"{path}:{lineno}: alpha entries must be positive and finite")
     if len(topics) != k:
         raise FormatError(f"{path}: expected {k} topic lines, found {len(topics)}")
     for lineno, column in topics:
@@ -350,23 +349,25 @@ def read_topic_model(path) -> TopicModel:
 # ground-truth sidecar for synthetic corpora
 
 
-def write_ground_truth(assignments: Sequence[TopicAssignment], path) -> None:
-    """TSV: docID, comma-joined h, comma-joined topic indices."""
+def write_ground_truth(latents: Tuple[np.ndarray, np.ndarray], path) -> None:
+    """TSV of ``(h, zeta)`` as ``generate`` returns them, one line per row:
+    docID, comma-joined h, comma-joined topic indices."""
+    h, zeta = latents
     with open(path, "w") as fh:
         fh.write("doc\th\tzeta\n")
-        for i, ta in enumerate(assignments):
-            h = ",".join(_fmt(x) for x in ta.h)
-            z = ",".join(str(int(t)) for t in ta.zeta)
-            fh.write(f"{i}\t{h}\t{z}\n")
+        for i, (h_i, zeta_i) in enumerate(zip(h, zeta, strict=True)):
+            fh.write(f"{i}\t{','.join(map(_fmt, h_i))}\t{','.join(map(str, zeta_i.tolist()))}\n")
 
 
-def read_ground_truth(path) -> List[TopicAssignment]:
-    """The records of a ground-truth file: the i-th names doc i, and its h is
-    a probability vector."""
+def read_ground_truth(path) -> Tuple[np.ndarray, np.ndarray]:
+    """``(h, zeta)`` of a ground-truth file, one row per record: the i-th names
+    doc i, its h is a probability vector, its topic indices are in [0, k), and
+    its k and number of indices are the first record's."""
     lines = _lines(path, Path(path).read_bytes())
     if not lines or not lines[0].startswith("doc\t"):
         raise FormatError(f"{path}:1: missing ground-truth header")
-    out = []
+    hs: List[np.ndarray] = []
+    zetas: List[List[int]] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -374,14 +375,20 @@ def read_ground_truth(path) -> List[TopicAssignment]:
         if len(parts) != 3:
             raise FormatError(f"{path}:{lineno}: expected 3 columns")
         h = np.array(_parse(path, lineno, parts[1].split(","), float))
-        zeta = np.array(_parse(path, lineno, parts[2].split(","), int), dtype=int)
+        zeta = _parse(path, lineno, parts[2].split(","), int)
         (doc,) = _parse(path, lineno, [parts[0]], int)
-        if doc != len(out):
-            raise FormatError(f"{path}:{lineno}: doc id {doc}, expected {len(out)}")
-        if not np.all(np.isfinite(h)) or improper_columns(h[:, None])[0]:
+        if doc != len(hs):
+            raise FormatError(f"{path}:{lineno}: doc id {doc}, expected {len(hs)}")
+        if improper_columns(h[:, None])[0]:
             raise FormatError(f"{path}:{lineno}: h is not a probability vector")
-        try:
-            out.append(TopicAssignment(h=h, zeta=zeta))
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from None
-    return out
+        if hs and (h.size, len(zeta)) != (hs[0].size, len(zetas[0])):
+            raise FormatError(f"{path}:{lineno}: k={h.size} with {len(zeta)} topic indices, "
+                              f"the first record has k={hs[0].size} with {len(zetas[0])}")
+        # checked as Python ints, so an index past the intp range is out of range too
+        if min(zeta) < 0 or max(zeta) >= h.size:
+            raise FormatError(f"{path}:{lineno}: topic indices out of range")
+        hs.append(h)
+        zetas.append(zeta)
+    k, doc_len = (hs[0].size, len(zetas[0])) if hs else (0, 0)
+    return (np.array(hs).reshape(len(hs), k),
+            np.array(zetas, dtype=np.intp).reshape(len(zetas), doc_len))

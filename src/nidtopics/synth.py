@@ -21,7 +21,7 @@ keys take nearly the same path through the column (numpy also starts each
 bisection at the previous key's result), so the branches predict and the
 entries they touch stay in cache.  A row sort then turns the words into
 sorted CSR entries.  Scratch memory is O(_BLOCK doc_len) on top of the
-output's O(nnz + n_docs doc_len).
+output's O(nnz + n_docs (k + doc_len)).
 """
 from __future__ import annotations
 
@@ -50,25 +50,6 @@ class SynthConfig:
             raise ValueError("doc_len must be at least 3 so third-order moments exist")
 
 
-@dataclass
-class TopicAssignment:
-    """Ground-truth latents of one document: topic proportions ``h`` and a
-    topic index per word, ``zeta``, integers in [0, h.size).  Both are
-    coerced to arrays."""
-
-    h: np.ndarray
-    zeta: np.ndarray
-
-    def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=float)
-        self.zeta = zeta = np.asarray(self.zeta)
-        if zeta.dtype.kind not in "iu":
-            raise ValueError(f"topic indices must be integers, not {zeta.dtype}")
-        if zeta.size and (np.minimum.reduce(zeta, axis=None) < 0
-                          or np.maximum.reduce(zeta, axis=None) >= self.h.size):
-            raise ValueError("topic indices out of range")
-
-
 def _lookup_words(a_sorted: np.ndarray, topics: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``searchsorted(a_sorted[t], x, side="right")`` for each pair (t, x) of the
     flat ``topics`` and ``u``.
@@ -92,8 +73,10 @@ def _lookup_words(a_sorted: np.ndarray, topics: np.ndarray, u: np.ndarray) -> np
     return words
 
 
-def generate(model: TopicModel, cfg: SynthConfig) -> Tuple[Corpus, List[TopicAssignment]]:
-    """Sample a corpus and the latent variables that produced it."""
+def generate(model: TopicModel, cfg: SynthConfig) -> Tuple[Corpus, Tuple[np.ndarray, np.ndarray]]:
+    """Sample a corpus and its latents ``(h, zeta)``: row i of the float64
+    ``h`` (n_docs, k) is document i's topic proportions, and of the intp
+    ``zeta`` (n_docs, doc_len) the topic of each of its word positions."""
     import scipy.sparse as sp
 
     d, k, doc_len = model.d, model.k, cfg.doc_len
@@ -105,22 +88,25 @@ def generate(model: TopicModel, cfg: SynthConfig) -> Tuple[Corpus, List[TopicAss
     a_sorted = np.sort(a_cum, axis=0).T.copy()
     prior = None if k == 1 else NIDModel(model.family, model.alpha)
 
+    h = np.empty((cfg.n_docs, k))
+    zeta = np.empty((cfg.n_docs, doc_len), dtype=np.intp)
     indices: List[np.ndarray] = []
     data: List[np.ndarray] = []
     row_nnz: List[np.ndarray] = []
-    assignments: List[TopicAssignment] = []
 
     for start in range(0, cfg.n_docs, _BLOCK):
         n = min(_BLOCK, cfg.n_docs - start)
+        stop = start + n
         block_seed = np.random.SeedSequence(cfg.seed, spawn_key=(start // _BLOCK,))
         h_rng, u_rng = (np.random.default_rng(s) for s in block_seed.spawn(2))
         u = u_rng.random((n, 2 * doc_len))
         if k == 1:
-            hs = np.ones((n, 1))
+            h[start:stop] = 1.0
             counts = np.zeros((n, doc_len), dtype=np.uint8)
         else:
-            hs = np.array([sample(prior, h_rng) for _ in range(n)])
-            h_cum = np.cumsum(hs, axis=1)
+            for i in range(start, stop):
+                h[i] = sample(prior, h_rng)
+            h_cum = np.cumsum(h[start:stop], axis=1)
             # a topic is the count of the cumulative entries <= u; the last
             # is 1 > u, so k - 1 compares give searchsorted(side="right"),
             # summed in the narrowest integer that holds k
@@ -128,11 +114,12 @@ def generate(model: TopicModel, cfg: SynthConfig) -> Tuple[Corpus, List[TopicAss
             counts = np.zeros((n, doc_len), dtype=np.min_scalar_type(k))
             for j in range(k - 1):
                 counts += h_cum[:, j, None] <= u_topic
-        zetas = counts.astype(np.intp)
-        assignments.extend(TopicAssignment(h=h, zeta=zeta) for h, zeta in zip(hs, zetas))
+            del h_cum, u_topic   # not held through the word lookup
+        zeta[start:stop] = counts
+        u_word = u[:, doc_len:].ravel()
+        del u   # the lookup's scratch is the block's peak: hold only the word half there
 
-        words = _lookup_words(a_sorted, counts.ravel(), u[:, doc_len:].ravel())
-        words = words.reshape(n, doc_len)
+        words = _lookup_words(a_sorted, counts.ravel(), u_word).reshape(n, doc_len)
 
         # each run of equal words in a sorted row is one CSR entry
         words.sort(axis=1)
@@ -146,4 +133,4 @@ def generate(model: TopicModel, cfg: SynthConfig) -> Tuple[Corpus, List[TopicAss
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(row_nnz))))
     mat = sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
                         shape=(cfg.n_docs, d))
-    return Corpus(mat), assignments
+    return Corpus(mat), (h, zeta)

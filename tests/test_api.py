@@ -12,7 +12,7 @@ def test_public_surface_is_pinned():
     assert sorted(nidtopics.__all__) == [
         "ChainResult", "ChainState", "Corpus", "DecompositionResult", "IDFamily",
         "MomentSet", "NIDModel", "PowerMethodConfig", "RankDeficiencyError", "StageError",
-        "SynthConfig", "TopicAssignment", "TopicModel", "TuneCandidate", "TuneReport",
+        "SynthConfig", "TopicModel", "TuneCandidate", "TuneReport",
         "Weights", "accumulate", "build_m2", "build_whitened_m3", "compute_weights",
         "corpus_from_docs", "correlation_profile", "decompose", "exact_moment_set",
         "gamma_family", "generate", "ig_mean_correlation_profile", "invgauss_family",

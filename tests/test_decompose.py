@@ -379,6 +379,14 @@ def test_learn_rejects_k_above_vocab():
         learn(corpus, gamma_family(1.0), 26, 1.0)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_learn_rejects_k_below_one_at_input(k):
+    corpus, _ = _small_corpus(gamma_family(1.0), seed=12, n_docs=50)
+    with pytest.raises(StageError) as exc:
+        learn(corpus, gamma_family(1.0), k, 1.0)
+    assert exc.value.stage == "input" and f"k={k} outside 1..25" in str(exc.value)
+
+
 def test_learn_rejects_a_negative_alpha0_at_input():
     corpus, _ = _small_corpus(gamma_family(1.0), seed=12, n_docs=50)
     with pytest.raises(StageError) as exc:
@@ -510,6 +518,17 @@ def test_fitted_alpha0_refused_for_stable_prior():
     assert exc.value.stage == "recover"
     assert isinstance(exc.value.cause, RecoveryError)
     assert "stable:0.5" in str(exc.value)
+
+
+@pytest.mark.parametrize("A, alpha", [
+    (np.full((2, 2), np.nan), [1.0, 1.0]),
+    (np.array([[np.inf, 0.5], [0.0, 0.5]]), [1.0, 1.0]),
+    (np.full((2, 2), 0.5), [np.nan, 1.0]),
+    (np.full((2, 2), 0.5), [1.0, np.inf]),
+], ids=["nan-A", "inf-A", "nan-alpha", "inf-alpha"])
+def test_topic_model_refuses_non_finite_entries(A, alpha):
+    with pytest.raises(ValueError):
+        TopicModel(A=A, alpha=np.array(alpha), family=gamma_family(1.0))
 
 
 def test_topic_model_validation():

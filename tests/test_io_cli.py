@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nidtopics import Corpus, corpus_from_docs, gamma_family, invgauss_family
+from nidtopics import (
+    Corpus, SynthConfig, corpus_from_docs, gamma_family, generate, invgauss_family,
+)
 from nidtopics import io as nio
 from nidtopics.cli import main
 from nidtopics.decompose import TopicModel
@@ -15,7 +17,6 @@ from nidtopics.io import (
     FormatError, read_ground_truth, read_topic_model, read_uci, read_vocab,
     write_ground_truth, write_topic_model, write_uci,
 )
-from nidtopics.synth import TopicAssignment
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +434,18 @@ def test_model_nonpositive_alpha_names_its_line(tmp_path):
     assert f"{p}:5:" in str(exc.value)
 
 
-@pytest.mark.parametrize("scale", [-1.0, 2.0])   # a negative column; one summing to 2
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+def test_model_non_finite_alpha_names_its_line(tmp_path, entry):
+    p = tmp_path / "m.tsv"
+    write_topic_model(_model(), p)
+    p.write_text(p.read_text().replace("alpha\t0.4\t", f"alpha\t{entry}\t", 1))
+    with pytest.raises(FormatError) as exc:
+        read_topic_model(p)
+    assert str(exc.value) == f"{p}:5: alpha entries must be positive and finite"
+
+
+# a negative column; one summing to 2; a NaN one, which no comparison fails
+@pytest.mark.parametrize("scale", [-1.0, 2.0, float("nan")])
 def test_model_improper_topic_names_its_line(tmp_path, scale):
     model = _model()
     p = tmp_path / "m.tsv"
@@ -491,7 +503,16 @@ def test_ground_truth_negative_topic_names_its_line(tmp_path):
     assert f"{p}:3:" in str(exc.value)
 
 
-@pytest.mark.parametrize("row", ["0\t0.25,0.75\t0,x\n", "0\t0.25,y\t0,1\n"])
+def test_ground_truth_topic_past_the_index_range_names_its_line(tmp_path):
+    p = tmp_path / "t.tsv"
+    p.write_text("doc\th\tzeta\n0\t0.5,0.5\t1,0\n1\t0.25,0.75\t0,99999999999999999999\n")
+    with pytest.raises(FormatError) as exc:
+        read_ground_truth(p)
+    assert str(exc.value) == f"{p}:3: topic indices out of range"
+
+
+@pytest.mark.parametrize("row", ["0\t0.25,0.75\t0,x\n", "0\t0.25,y\t0,1\n",
+                                 "0\t0.25,0.75\t0,1.5\n"])
 def test_ground_truth_bad_field_names_its_line(tmp_path, row):
     p = tmp_path / "t.tsv"
     p.write_text("doc\th\tzeta\n0\t0.5,0.5\t1,0\n" + row)
@@ -517,17 +538,48 @@ def test_ground_truth_record_checks_name_their_line(tmp_path, row, message):
     assert str(exc.value) == f"{p}:3: {message}"
 
 
-def test_ground_truth_round_trip(tmp_path):
-    assignments = [
-        TopicAssignment(h=np.array([0.25, 0.75]), zeta=np.array([1, 0, 1])),
-        TopicAssignment(h=np.array([0.5, 0.5]), zeta=np.array([0, 0, 0])),
-    ]
+@pytest.mark.parametrize("row", ["1\t0.2,0.3,0.5\t0,1\n", "1\t0.25,0.75\t0,1,1\n"],
+                         ids=["k", "length"])
+def test_ground_truth_ragged_record_names_its_line(tmp_path, row):
     p = tmp_path / "t.tsv"
-    write_ground_truth(assignments, p)
-    back = read_ground_truth(p)
-    for a, b in zip(assignments, back):
-        assert np.array_equal(a.h, b.h)
-        assert np.array_equal(a.zeta, b.zeta)
+    p.write_text("doc\th\tzeta\n0\t0.5,0.5\t1,0\n" + row)
+    with pytest.raises(FormatError) as exc:
+        read_ground_truth(p)
+    assert str(exc.value).startswith(f"{p}:3: k=")
+    assert str(exc.value).endswith("the first record has k=2 with 2")
+
+
+def test_ground_truth_header_alone_reads_as_empty_arrays(tmp_path):
+    p = tmp_path / "t.tsv"
+    p.write_text("doc\th\tzeta\n")
+    h, zeta = read_ground_truth(p)
+    assert h.shape == zeta.shape == (0, 0)
+    assert h.dtype == np.float64 and zeta.dtype == np.intp
+
+
+def test_ground_truth_round_trip(tmp_path):
+    h = np.array([[0.25, 0.75], [0.5, 0.5]])
+    zeta = np.array([[1, 0, 1], [0, 0, 0]])
+    p = tmp_path / "t.tsv"
+    write_ground_truth((h, zeta), p)
+    back_h, back_zeta = read_ground_truth(p)
+    assert np.array_equal(h, back_h)
+    assert np.array_equal(zeta, back_zeta)
+
+
+def test_ground_truth_writer_refuses_unpaired_rows(tmp_path):
+    with pytest.raises(ValueError):
+        write_ground_truth((np.full((2, 2), 0.5), np.zeros((1, 3), dtype=int)), tmp_path / "t.tsv")
+
+
+def test_cli_generate_truth_reads_back_as_generated(tmp_path):
+    out = str(tmp_path / "c.uci")
+    assert main(["--seed", "4", "--quiet", "generate", "--family", "invgauss:4", "--k", "3",
+                 "--d", "12", "--docs", "40", "--len", "5", "--out", out]) == 0
+    _, (h, zeta) = generate(read_topic_model(out + ".model.tsv"), SynthConfig(40, 5, seed=4))
+    back_h, back_zeta = read_ground_truth(out + ".truth.tsv")
+    assert back_h.dtype == h.dtype and np.array_equal(back_h, h)
+    assert back_zeta.dtype == zeta.dtype and np.array_equal(back_zeta, zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -766,10 +818,22 @@ def test_cli_malformed_number_is_a_usage_error_before_the_corpus_is_read(
       "--alpha0", "nan"], "--alpha0"),
     (["correlate", "--family", "gamma", "--sweep", "0.5:2:3", "--alpha", "1,a"], "--alpha"),
     (["weights", "--family", "gamma:1", "--alpha0", "-1"], "--alpha0"),
+    (["generate", "--family", "gamma:1", "--k", "3", "--d", "5", "--docs", "2", "--len", "3",
+      "--topic-concentration", "nan"], "--topic-concentration"),
 ])
 def test_cli_malformed_alpha_is_a_usage_error(tmp_path, capsys, argv, flag):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert f"argument {flag}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--k", "0"), ("--d", "0"), ("--k", "-2")])
+def test_cli_generate_size_below_one_is_a_usage_error(tmp_path, capsys, flag, value):
+    argv = ["generate", "--family", "gamma:1", "--k", "3", "--d", "5", "--docs", "2",
+            "--len", "3", "--out", str(tmp_path / "out")]
+    argv[argv.index(flag) + 1] = value
+    assert main(argv) == 1
+    assert f"usage error: {flag} is {value}, must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

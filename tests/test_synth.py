@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from nidtopics import (
-    Corpus, NIDModel, SynthConfig, TopicAssignment, TopicModel, accumulate, gamma_family,
+    Corpus, NIDModel, SynthConfig, TopicModel, accumulate, gamma_family,
     generate, invgauss_family, moment_matrix, moment_vector, sample, synth,
 )
 
@@ -31,22 +31,21 @@ def test_config_validation():
 def test_reproducibility_is_exact():
     model = _random_model(12, 3, seed=0)
     cfg = SynthConfig(50, 10, seed=42)
-    c1, a1 = generate(model, cfg)
-    c2, a2 = generate(model, cfg)
+    c1, (h1, zeta1) = generate(model, cfg)
+    c2, (h2, zeta2) = generate(model, cfg)
     assert (c1.counts != c2.counts).nnz == 0
-    for x, y in zip(a1, a2):
-        assert np.array_equal(x.h, y.h)
-        assert np.array_equal(x.zeta, y.zeta)
+    assert np.array_equal(h1, h2)
+    assert np.array_equal(zeta1, zeta2)
 
 
 def test_document_lengths_and_shape():
     model = _random_model(9, 2, seed=1)
-    corpus, assignments = generate(model, SynthConfig(25, 7, seed=3))
+    corpus, (h, zeta) = generate(model, SynthConfig(25, 7, seed=3))
     assert corpus.n_docs == 25
     assert corpus.d == 9
     assert np.all(corpus.doc_lengths() == 7)
-    assert len(assignments) == 25
-    assert all(a.zeta.size == 7 for a in assignments)
+    assert h.shape == (25, 2) and h.dtype == np.float64
+    assert zeta.shape == (25, 7) and zeta.dtype == np.intp
 
 
 def test_single_topic_collapse():
@@ -55,12 +54,12 @@ def test_single_topic_collapse():
     col = rng.dirichlet(np.ones(8) * 0.7)
     model = TopicModel(A=col[:, None], alpha=np.array([1.0]),
                        family=gamma_family(1.0))
-    corpus, assignments = generate(model, SynthConfig(2000, 20, seed=4))
+    corpus, (h, zeta) = generate(model, SynthConfig(2000, 20, seed=4))
     freq = np.asarray(corpus.counts.sum(axis=0)).ravel()
     freq = freq / freq.sum()
     se = np.sqrt(col * (1 - col) / corpus.doc_lengths().sum())
     assert np.all(np.abs(freq - col) < 4 * se + 1e-4)
-    assert all(np.all(a.zeta == 0) for a in assignments)
+    assert np.all(h == 1.0) and np.all(zeta == 0)
 
 
 def test_identity_topics_reproduce_prior_pair_moments():
@@ -100,12 +99,10 @@ def test_short_doc_pipeline_closes_loop():
 
 def test_latents_match_counts():
     model = _random_model(10, 3, seed=9)
-    corpus, assignments = generate(model, SynthConfig(30, 6, seed=10))
-    lengths = corpus.doc_lengths()
-    for i, a in enumerate(assignments):
-        assert a.zeta.size == lengths[i] == 6
-        assert a.h.size == 3
-        assert a.h.sum() == pytest.approx(1.0, abs=1e-12)
+    corpus, (h, zeta) = generate(model, SynthConfig(30, 6, seed=10))
+    assert np.all(corpus.doc_lengths() == zeta.shape[1]) and zeta.shape == (30, 6)
+    assert h.shape == (30, 3)
+    assert h.sum(axis=1) == pytest.approx(np.ones(30), abs=1e-12)
 
 
 def _reference_generate(model, cfg):
@@ -116,7 +113,7 @@ def _reference_generate(model, cfg):
     a_cum = np.cumsum(model.A, axis=0)
     a_cum[-1, :] = 1.0
     prior = None if k == 1 else NIDModel(model.family, model.alpha)
-    indptr, indices, data, assignments = [0], [], [], []
+    indptr, indices, data, hs, zetas = [0], [], [], [], []
     for i in range(cfg.n_docs):
         b, row = divmod(i, synth._BLOCK)
         if row == 0:
@@ -137,11 +134,12 @@ def _reference_generate(model, cfg):
         indices.append(nz)
         data.append(counts[nz])
         indptr.append(indptr[-1] + nz.size)
-        assignments.append(TopicAssignment(h=h, zeta=zeta))
+        hs.append(h)
+        zetas.append(zeta)
     mat = sp.csr_matrix(
         (np.concatenate(data), np.concatenate(indices), np.array(indptr)),
         shape=(cfg.n_docs, d))
-    return Corpus(mat), assignments
+    return Corpus(mat), (np.array(hs), np.array(zetas))
 
 
 def _with_zeros():
@@ -194,16 +192,15 @@ def test_generate_matches_dense_reference(make, block, monkeypatch):
         monkeypatch.setattr(synth, "_BLOCK", block)
     model = make()
     cfg = SynthConfig(30, 9, seed=17)
-    got, got_latent = generate(model, cfg)
-    want, want_latent = _reference_generate(model, cfg)
+    got, (got_h, got_zeta) = generate(model, cfg)
+    want, (want_h, want_zeta) = _reference_generate(model, cfg)
     assert got.counts.shape == want.counts.shape
     for name in ("data", "indices", "indptr"):
         a, b = getattr(got.counts, name), getattr(want.counts, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert len(got_latent) == len(want_latent)
-    for x, y in zip(got_latent, want_latent):
-        assert x.h.dtype == y.h.dtype and np.array_equal(x.h, y.h)
-        assert x.zeta.dtype == y.zeta.dtype and np.array_equal(x.zeta, y.zeta)
+    assert len(got_h) == len(want_h) and len(got_zeta) == len(want_zeta)
+    assert got_h.dtype == want_h.dtype and np.array_equal(got_h, want_h)
+    assert got_zeta.dtype == want_zeta.dtype and np.array_equal(got_zeta, want_zeta)
 
 
 def _sorted_columns(model):
@@ -234,33 +231,17 @@ def test_lookup_words_equals_a_search_per_token(make, drawn):
         assert got.dtype == np.intp and np.array_equal(got, want)
 
 
-def test_topic_assignment_coerces_its_fields():
-    a = TopicAssignment(h=[0.25, 0.75], zeta=[1, 0, 1])
-    assert a.h.dtype == np.float64 and np.array_equal(a.h, [0.25, 0.75])
-    assert a.zeta.dtype.kind == "i" and np.array_equal(a.zeta, [1, 0, 1])
-    for zeta in ([0, 2], [-1, 0]):
-        with pytest.raises(ValueError, match="out of range"):
-            TopicAssignment(h=[0.5, 0.5], zeta=zeta)
-
-
-@pytest.mark.parametrize("zeta", [[0.0, 1.7], [0.0, 1.0], [True, False]])
-def test_topic_assignment_rejects_non_integer_topics(zeta):
-    with pytest.raises(ValueError, match="integers"):
-        TopicAssignment(h=[0.5, 0.5], zeta=zeta)
-
-
 @pytest.mark.parametrize("block", [7, None])
 def test_first_documents_do_not_depend_on_n_docs(block, monkeypatch):
     # both streams are read in document order, so a shorter corpus is a prefix
     if block is not None:
         monkeypatch.setattr(synth, "_BLOCK", block)
     model = _random_model(30, 4, seed=18, family=invgauss_family(2.0))
-    full, full_latent = generate(model, SynthConfig(20, 8, seed=19))
+    full, (full_h, full_zeta) = generate(model, SynthConfig(20, 8, seed=19))
     for m in (1, 6, 7, 8, 13):   # short of, at and past the 7-document boundaries
-        part, part_latent = generate(model, SynthConfig(m, 8, seed=19))
+        part, (part_h, part_zeta) = generate(model, SynthConfig(m, 8, seed=19))
         assert (part.counts != full.counts[:m]).nnz == 0
-        for x, y in zip(part_latent, full_latent[:m], strict=True):
-            assert np.array_equal(x.h, y.h) and np.array_equal(x.zeta, y.zeta)
+        assert np.array_equal(part_h, full_h[:m]) and np.array_equal(part_zeta, full_zeta[:m])
 
 
 @pytest.mark.parametrize("family", [gamma_family(1.5), invgauss_family(4.0)])
